@@ -7,8 +7,7 @@ posterior, giving closed-form weight and mean updates per component.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,9 +16,8 @@ from .mixture import (
     DEFAULT_WEIGHT_FLOOR,
     MixtureParam,
     SampleBatch,
-    likelihood_ratio,
     log_mixture_density,
-    posterior,
+    lr_and_posterior,
     sample_mixture,
 )
 from .rng import RngStream
@@ -68,56 +66,41 @@ class IterationRecord:
 
 def evaluate_pilot(payoff_fn, theta: MixtureParam, batch: SampleBatch) -> PilotEvaluation:
     """Evaluate payoff, likelihood ratio, and posteriors for a pilot batch."""
-    return PilotEvaluation(
-        x=batch.x,
-        payoff=np.asarray(payoff_fn(batch.x), dtype=float),
-        lr=likelihood_ratio(theta, batch.x),
-        posteriors=posterior(theta, batch.x),
-    )
-
-
-def _fsum(values: np.ndarray) -> float:
-    # compensated summation; pilot weights V*lr span a wide dynamic range
-    return math.fsum(values.tolist())
+    lr, posteriors = lr_and_posterior(theta, batch.x)
+    return PilotEvaluation(x=batch.x, payoff=np.asarray(payoff_fn(batch.x), dtype=float),
+                           lr=lr, posteriors=posteriors)
 
 
 def basic_update(ev: PilotEvaluation) -> np.ndarray:
-    """Single-component update: the V*lr-weighted sample mean."""
-    w = ev.payoff * ev.lr
-    denom = _fsum(w)
-    if denom <= 0:
-        raise DegenerateUpdate("all payoff-weighted mass is zero")
-    return np.array([_fsum(w * ev.x[:, j]) for j in range(ev.x.shape[1])]) / denom
+    """Single-component update: the V*lr-weighted sample mean, i.e. the
+    m = 1 case of mixture_update."""
+    one = replace(ev, posteriors=np.ones((ev.x.shape[0], 1)))
+    return mixture_update(one, MixtureParam.single(np.zeros(ev.x.shape[1]))).means[0]
 
 
 def mixture_update(ev: PilotEvaluation, theta_prev: MixtureParam,
                    weight_floor: float = DEFAULT_WEIGHT_FLOOR) -> MixtureParam:
     """Closed-form mixture update from one pilot evaluation.
 
-    A component whose posterior-weighted mass vanishes keeps its previous
-    mean; the weight floor keeps its weight alive.  Pass weight_floor=0 to
-    get the raw EM-ascent update (weights may then hit zero, which the
-    MixtureParam constructor rejects, so a tiny positive floor is applied
-    in that case only where needed).
+    With wp = posteriors * V*lr, the new weights are the column sums of wp
+    over the total V*lr mass and the new means are wp.T @ x over those
+    column sums.  A component whose posterior-weighted mass vanishes keeps
+    its previous mean; the weight floor keeps its weight alive.  Pass
+    weight_floor=0 to get the raw EM-ascent update (weights may then hit
+    zero, which the MixtureParam constructor rejects, so a tiny positive
+    floor is applied in that case only where needed).
     """
-    w_all = ev.payoff * ev.lr
-    denom = _fsum(w_all)
+    w = ev.payoff * ev.lr
+    denom = w.sum()
     if denom <= 0:
         raise DegenerateUpdate("all payoff-weighted mass is zero")
-    m = ev.m
-    d = ev.x.shape[1]
-    weights = np.empty(m)
+    wp = ev.posteriors * w[:, None]
+    mass = wp.sum(axis=0)
+    live = mass > 0
     means = np.array(theta_prev.means, copy=True)
-    for j in range(m):
-        wj = w_all * ev.posteriors[:, j]
-        mass = _fsum(wj)
-        weights[j] = mass / denom
-        if mass > 0:
-            means[j] = np.array([_fsum(wj * ev.x[:, k]) for k in range(d)]) / mass
-    floor = max(weight_floor, 1e-300)
-    weights = np.maximum(weights, floor)
-    weights /= weights.sum()
-    return MixtureParam(weights, means)
+    means[live] = (wp.T @ ev.x)[live] / mass[live, None]
+    weights = np.maximum(mass / denom, max(weight_floor, 1e-300))
+    return MixtureParam(weights / weights.sum(), means)
 
 
 def surrogate_objective(ev: PilotEvaluation, theta: MixtureParam) -> float:
@@ -127,7 +110,7 @@ def surrogate_objective(ev: PilotEvaluation, theta: MixtureParam) -> float:
         return 0.0
     vals = (ev.payoff[active] * ev.lr[active]
             * log_mixture_density(theta, ev.x[active]))
-    return _fsum(vals) / ev.x.shape[0]
+    return float(vals.sum()) / ev.x.shape[0]
 
 
 def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):

@@ -39,32 +39,30 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
 
     Sampling is chunked over the stream counter: chunk k draws from the
     sub-stream with counter offset k, so a run is reproducible for a fixed
-    chunk size and chunks can be evaluated independently.
+    chunk size and chunks can be evaluated independently.  Each chunk is
+    reduced to (count, mean, M2), its sum of squared deviations, and the
+    chunks are merged in chunk order by the pairwise update of Chan, Golub
+    and LeVeque, which stays accurate down to zero variance.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    sums, sumsqs = [], []
+    count, est, m2 = 0, 0.0, 0.0
     min_lr, max_lr, max_val = np.inf, -np.inf, 0.0
-    done = 0
-    chunk_index = 0
-    while done < n:
-        c = min(chunk_size, n - done)
-        sub = stream.child(counter=stream.counter + chunk_index)
-        chunk_index += 1
-        batch = sample_mixture(theta, c, sub)
+    for k, start in enumerate(range(0, n, chunk_size)):
+        c = min(chunk_size, n - start)
+        batch = sample_mixture(theta, c, stream.child(counter=stream.counter + k))
         lr = likelihood_ratio(theta, batch.x)
         vals = np.asarray(model.payoff(batch.x), dtype=float) * lr
-        sums.append(math.fsum(vals.tolist()))
-        sumsqs.append(math.fsum((vals * vals).tolist()))
+        c_mean = float(vals.mean())
+        c_m2 = float(np.sum((vals - c_mean) ** 2))
+        delta = c_mean - est
+        est += delta * (c / (count + c))
+        m2 += c_m2 + delta * delta * (count * c / (count + c))
+        count += c
         min_lr = min(min_lr, float(lr.min()))
         max_lr = max(max_lr, float(lr.max()))
         max_val = max(max_val, float(vals.max()))
-        done += c
-    total = math.fsum(sums)
-    total_sq = math.fsum(sumsqs)
-    est = total / n
-    var = max(total_sq - n * est * est, 0.0) / (n - 1)
-    se = math.sqrt(var / n)
+    se = math.sqrt(m2 / (n - 1) / n)
     return EstimateReport(
         estimate=est,
         std_error=se,
@@ -72,7 +70,7 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
         n=n,
         min_lr=min_lr,
         max_lr=max_lr,
-        lr_concentrated=total > 0 and max_val > LR_CONCENTRATION_SHARE * total,
+        lr_concentrated=est > 0 and max_val > LR_CONCENTRATION_SHARE * est * n,
     )
 
 

@@ -93,7 +93,10 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     n0 samples per component; update means with the delta-scaled payoff}
     until delta >= 1 componentwise.  Weights stay fixed at 1/m unless
     cfg.adapt_weights is set.  Returns (theta, stage trace); the terminal
-    theta is the starting parameter for the main CE run.
+    theta is the starting parameter for the main CE run.  Stage s draws its
+    pilot from the init stream at iteration stream.iteration + s, so the
+    stages occupy iterations [stream.iteration, stream.iteration +
+    cfg.max_stages) and leave every lower iteration to the caller.
     """
     if not getattr(model, "supports_rarity", False):
         raise ApproxUnavailable(f"{model.name} has no rarity embedding")
@@ -104,7 +107,7 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     trace = []
     for stage in range(cfg.max_stages):
         batch = sample_mixture(theta, cfg.pilot_size,
-                               stream.child(phase="init", iteration=stage))
+                               stream.child(phase="init", iteration=stream.iteration + stage))
         new_delta = model.rarity_delta(batch.x, n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
         ev = evaluate_pilot(lambda x: model.rarity_payoff(new_delta, x), theta, batch)

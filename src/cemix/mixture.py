@@ -8,7 +8,7 @@ dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -72,15 +72,14 @@ class MixtureParam:
 
 @dataclass
 class SampleBatch:
-    """Draws from a mixture plus the stream that produced them.
+    """Draws from a mixture.
 
     Component labels are diagnostics only; parameter updates use EM
     posteriors, never the labels.
     """
 
-    x: np.ndarray        # (n, d)
-    stream: RngStream
-    labels: np.ndarray = field(default=None)  # (n,) int or None
+    x: np.ndarray              # (n, d)
+    labels: np.ndarray = None  # (n,) int or None
 
     @property
     def n(self) -> int:
@@ -118,35 +117,47 @@ def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
     return logsumexp(_log_joint(theta, x), axis=1)
 
 
-def posterior(theta: MixtureParam, x) -> np.ndarray:
-    """(n, m) component posteriors h_theta(j | x); rows sum to 1."""
-    lj = _log_joint(theta, x)
-    lj -= lj.max(axis=1, keepdims=True)
-    p = np.exp(lj)
+def _posterior(lj: np.ndarray) -> np.ndarray:
+    p = np.exp(lj - lj.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     return p
+
+
+def _likelihood_ratio(theta: MixtureParam, x: np.ndarray, lj: np.ndarray) -> np.ndarray:
+    log_f = -0.5 * np.sum(x * x, axis=1) - 0.5 * theta.dim * LOG_2PI
+    return np.exp(log_f - logsumexp(lj, axis=1))
+
+
+def posterior(theta: MixtureParam, x) -> np.ndarray:
+    """(n, m) component posteriors h_theta(j | x); rows sum to 1."""
+    return _posterior(_log_joint(theta, x))
 
 
 def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
     """phi_d(x) / h_theta(x); the unbiasedness correction factor."""
     x = _as_batch(x, theta.dim)
-    log_f = -0.5 * np.sum(x * x, axis=1) - 0.5 * theta.dim * LOG_2PI
-    return np.exp(log_f - log_mixture_density(theta, x))
+    return _likelihood_ratio(theta, x, _log_joint(theta, x))
+
+
+def lr_and_posterior(theta: MixtureParam, x):
+    """likelihood_ratio and posterior of one batch from a single log-joint."""
+    x = _as_batch(x, theta.dim)
+    lj = _log_joint(theta, x)
+    return _likelihood_ratio(theta, x, lj), _posterior(lj)
 
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
     """n iid draws from h_theta.
 
-    One uniform per sample picks the component label, then d inverse-CDF
-    normals build the vector.  Parallel chunking hands chunk k the stream
-    with counter offset k.
+    The stream's first n uniforms pick the component labels; the next n*d
+    build the vectors by inverse-CDF normals, d per sample.  Parallel
+    chunking hands chunk k the stream with counter offset k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = stream.generator()
-    u = np.maximum(gen.random(n), 2.0**-53)
-    labels = np.searchsorted(np.cumsum(theta.weights), u)
-    labels = np.minimum(labels, theta.m - 1)
-    z = ndtri(np.maximum(gen.random((n, theta.dim)), 2.0**-53))
-    x = z + theta.means[labels]
-    return SampleBatch(x=x, stream=stream, labels=labels)
+    u = stream.uniforms(n * (theta.dim + 1))
+    labels = np.minimum(np.searchsorted(np.cumsum(theta.weights), u[:n]), theta.m - 1)
+    x = u[n:].reshape(n, theta.dim)
+    ndtri(x, out=x)  # in place: a (n, d) batch is the largest array of a run
+    x += theta.means[labels]
+    return SampleBatch(x=x, labels=labels)

@@ -15,19 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ApproxUnavailable, ConfigError, DimensionMismatch, EmbeddingUnavailable
+from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable
+from .mixture import _as_batch
 from .numerics import bisect_root, cholesky, order_statistic
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
-
-
-def _batch(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {x.shape[1]}")
-    return x
 
 
 @dataclass
@@ -54,20 +46,24 @@ class TwoSidedTail:
         return 2
 
     def payoff(self, x):
-        x = _batch(x, 1)[:, 0]
+        x = _as_batch(x, 1)[:, 0]
         return ((x >= self.a) | (x <= self.b)).astype(float)
 
     def rarity_delta(self, x, n0, prev):
-        return rarity_delta_two_sided(_batch(x, 1)[:, 0], self.a, self.b, n0, prev)
+        return rarity_delta_two_sided(_as_batch(x, 1)[:, 0], self.a, self.b, n0, prev)
 
     def rarity_payoff(self, delta, x):
-        x = _batch(x, 1)[:, 0]
-        return ((x >= delta[0] * self.a) | (x <= delta[1] * self.b)).astype(float)
+        return self.rarity_membership(delta, x).any(axis=1).astype(float)
 
     def rarity_membership(self, delta, x):
-        """(n, 2) indicator of reaching each side's delta-scaled set."""
-        x = _batch(x, 1)[:, 0]
-        return np.column_stack([x >= delta[0] * self.a, x <= delta[1] * self.b])
+        """(n, 2) indicator of reaching each side's delta-scaled set.
+
+        Tested as x/a >= delta[0] and x/b >= delta[1] rather than against
+        delta*a and delta*b: rarity_delta divides a sample by a or b, and
+        rounding in (x/a)*a could drop that very sample from the set.
+        """
+        x = _as_batch(x, 1)[:, 0]
+        return np.column_stack([x / self.a >= delta[0], x / self.b >= delta[1]])
 
     def approx_tilts(self):
         return np.array([[self.a], [self.b]])
@@ -126,7 +122,7 @@ class AsianCall:
         return 1
 
     def _prices(self, x):
-        x = _batch(x, self.n_dates)
+        x = _as_batch(x, self.n_dates)
         drift = (self.r - 0.5 * self.sigma ** 2) * self.times
         bridge = np.cumsum(self._sqdt * x, axis=1)
         return self.s0 * np.exp(drift[None, :] + self.sigma * bridge)
@@ -152,8 +148,35 @@ class AsianCall:
         return np.full((1, self.n_dates), a)
 
 
+class CorrelatedGbm:
+    """Correlated geometric Brownian motion assets driven by N(0, I_d) inputs.
+
+    Base of the dataclass models with s0, sigmas, corr, r and maturity
+    fields; their __post_init__ calls _init_gbm.
+    """
+
+    def _init_gbm(self):
+        self.s0 = np.asarray(self.s0, dtype=float)
+        self.sigmas = np.asarray(self.sigmas, dtype=float)
+        self.corr = np.asarray(self.corr, dtype=float)
+        if not np.allclose(np.diag(self.corr), 1.0):
+            raise ConfigError("correlation matrix must have unit diagonal")
+        self.chol = cholesky(self.corr)
+
+    @property
+    def dim(self):
+        return self.s0.size
+
+    def terminal_prices(self, x):
+        """Undiscounted S_T^(j) per sample and asset."""
+        cx = _as_batch(x, self.dim) @ self.chol.T
+        expo = (self.r - 0.5 * self.sigmas ** 2) * self.maturity \
+            + self.sigmas * np.sqrt(self.maturity) * cx
+        return self.s0 * np.exp(expo)
+
+
 @dataclass
-class RainbowOption:
+class RainbowOption(CorrelatedGbm):
     """Outperformance option (max_j S_T^(j) - K)^+ on correlated GBM assets."""
 
     s0: np.ndarray
@@ -168,27 +191,11 @@ class RainbowOption:
     supports_approx = True
 
     def __post_init__(self):
-        self.s0 = np.asarray(self.s0, dtype=float)
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
-        self.corr = np.asarray(self.corr, dtype=float)
-        if not np.allclose(np.diag(self.corr), 1.0):
-            raise ConfigError("correlation matrix must have unit diagonal")
-        self.chol = cholesky(self.corr)
-
-    @property
-    def dim(self):
-        return self.s0.size
+        self._init_gbm()
 
     @property
     def default_components(self):
         return self.dim
-
-    def terminal_prices(self, x):
-        """Undiscounted S_T^(j) per sample and asset."""
-        cx = _batch(x, self.dim) @ self.chol.T
-        expo = (self.r - 0.5 * self.sigmas ** 2) * self.maturity \
-            + self.sigmas * np.sqrt(self.maturity) * cx
-        return self.s0 * np.exp(expo)
 
     def payoff(self, x):
         disc = np.exp(-self.r * self.maturity)
@@ -223,7 +230,7 @@ class RainbowOption:
 
 
 @dataclass
-class PyramidOption:
+class PyramidOption(CorrelatedGbm):
     """Pyramid option (sum_j |S_T^(j) - K_j| - K)^+ on correlated GBM assets."""
 
     s0: np.ndarray
@@ -239,28 +246,15 @@ class PyramidOption:
     supports_approx = True
 
     def __post_init__(self):
-        self.s0 = np.asarray(self.s0, dtype=float)
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
+        self._init_gbm()
         self.asset_strikes = np.asarray(self.asset_strikes, dtype=float)
-        self.corr = np.asarray(self.corr, dtype=float)
         if self.dim > MAX_PYRAMID_ASSETS:
             raise ConfigError(
                 f"pyramid model capped at {MAX_PYRAMID_ASSETS} assets (2^d components)")
-        self.chol = cholesky(self.corr)
-
-    @property
-    def dim(self):
-        return self.s0.size
 
     @property
     def default_components(self):
         return 2 ** self.dim
-
-    def terminal_prices(self, x):
-        cx = _batch(x, self.dim) @ self.chol.T
-        expo = (self.r - 0.5 * self.sigmas ** 2) * self.maturity \
-            + self.sigmas * np.sqrt(self.maturity) * cx
-        return self.s0 * np.exp(expo)
 
     def payoff(self, x):
         spread = np.abs(self.terminal_prices(x) - self.asset_strikes).sum(axis=1)
@@ -333,7 +327,7 @@ class CevDigital:
 
     def paths(self, x):
         """Terminal (S_T, H_T) for each innovation row."""
-        x = _batch(x, self.dim)
+        x = _as_batch(x, self.dim)
         z = x[:, 0::2]
         resid = x[:, 1::2]
         dt = self.maturity / self.n_steps

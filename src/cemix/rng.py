@@ -1,8 +1,10 @@
 """Counter-based random number streams.
 
-Every stream is addressed by (seed, phase, iteration, counter).  The four
-coordinates key a Philox generator, so streams with distinct coordinates
-are statistically independent and a batch can be partitioned across
+Every stream is addressed by (seed, phase, iteration, counter), with seed
+in [0, 2**64), iteration in [0, 2**28) and counter in [0, 2**32); other
+values raise ConfigError.  The four coordinates key a Philox generator
+injectively, so streams with distinct coordinates are statistically
+independent and a batch can be partitioned across
 workers by handing chunk i the counter value i; the result is identical
 for any worker count.
 
@@ -18,8 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ConfigError
+
 PHASES = ("pilot", "init", "final_is", "baseline")
 _PHASE_CODE = {name: i for i, name in enumerate(PHASES)}
+
+# key bits of each integer coordinate; values must lie in [0, 2**bits)
+_COORD_BITS = {"seed": 64, "iteration": 28, "counter": 32}
 
 # smallest uniform fed to ndtri; Generator.random can return exactly 0.0
 _U_MIN = 2.0 ** -53
@@ -37,6 +44,10 @@ class RngStream:
     def __post_init__(self):
         if self.phase not in _PHASE_CODE:
             raise ValueError(f"unknown phase {self.phase!r}; expected one of {PHASES}")
+        for name, bits in _COORD_BITS.items():
+            if not 0 <= getattr(self, name) < 2**bits:
+                raise ConfigError(
+                    f"{name} must lie in [0, 2**{bits}), got {getattr(self, name)}")
 
     def child(self, *, phase=None, iteration=None, counter=None) -> "RngStream":
         """Derive a stream with some coordinates replaced."""
@@ -51,11 +62,9 @@ class RngStream:
 
     def _key(self) -> int:
         # 128-bit Philox key: seed in the high 64 bits, then phase,
-        # iteration, and counter
-        seed = self.seed & (2**64 - 1)
-        return ((seed << 64) | (_PHASE_CODE[self.phase] << 60)
-                | ((self.iteration & (2**28 - 1)) << 32)
-                | (self.counter & (2**32 - 1)))
+        # iteration, and counter; __post_init__ keeps each in its field
+        return ((self.seed << 64) | (_PHASE_CODE[self.phase] << 60)
+                | (self.iteration << 32) | self.counter)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator keyed by this stream's coordinates."""
@@ -65,7 +74,7 @@ class RngStream:
         """Uniform(0,1] draws; consumes one 64-bit word per value."""
         u = self.generator().random(shape)
         # keep strictly inside (0,1) for downstream inverse-CDF use
-        return np.maximum(u, _U_MIN)
+        return np.maximum(u, _U_MIN, out=u)
 
     def normals(self, n: int, d: int) -> np.ndarray:
         """(n, d) array of iid N(0,1) draws via inverse CDF."""

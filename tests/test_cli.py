@@ -11,6 +11,7 @@ from cemix.experiments import (
     run_experiment,
     table_configs,
 )
+from cemix.rng import RngStream
 
 
 def write_config(path, **overrides):
@@ -36,6 +37,24 @@ class TestExperiments:
     def test_row_seeds_distinct(self):
         seeds = [cfg.seed for cfg in table_configs(4, seed=3)]
         assert len(set(seeds)) == len(seeds)
+
+    def test_ini_ce_row_stream_keys_distinct(self, monkeypatch):
+        # the perturbation draw and every rarity stage pilot need their own
+        # stream; so does every later pilot and chunk of the row
+        keys = []
+        generator = RngStream.generator
+
+        def spy(stream):
+            keys.append((stream.phase, stream._key()))
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", spy)
+        cfg = table_configs(5, seed=1)[0]
+        assert cfg.init["method"] == "rarity_ce"
+        row = run_experiment(cfg)
+        init_keys = [k for phase, k in keys if phase == "init"]
+        assert len(init_keys) == 1 + row.init_stages
+        assert len(set(k for _, k in keys)) == len(keys)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):

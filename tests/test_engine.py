@@ -13,7 +13,7 @@ from cemix.engine import (
     surrogate_objective,
 )
 from cemix.errors import DegenerateUpdate
-from cemix.mixture import MixtureParam, posterior, sample_mixture
+from cemix.mixture import MixtureParam, likelihood_ratio, posterior, sample_mixture
 from cemix.models import TwoSidedTail
 from cemix.rng import RngStream
 
@@ -68,7 +68,35 @@ class TestBasicUpdate:
         assert abs(est - c) <= 4 * se
 
 
+def fsum_update(ev, theta_prev, weight_floor):
+    """Reference update: one compensated sum per component and coordinate."""
+    w = ev.payoff * ev.lr
+    denom = math.fsum(w)
+    weights = np.empty(ev.m)
+    means = np.array(theta_prev.means, copy=True)
+    for j in range(ev.m):
+        wj = w * ev.posteriors[:, j]
+        mass = math.fsum(wj)
+        weights[j] = mass / denom
+        if mass > 0:
+            means[j] = [math.fsum(wj * ev.x[:, k]) / mass for k in range(ev.x.shape[1])]
+    weights = np.maximum(weights, max(weight_floor, 1e-300))
+    return weights / weights.sum(), means
+
+
 class TestMixtureUpdate:
+    def test_matches_compensated_reference(self):
+        # the array form sums in another order; 1e-12 is a few thousand
+        # ulps of double rounding, far above the ~1e-15 seen
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            ev, theta = random_eval(rng, n=2000, m=int(rng.integers(1, 5)),
+                                    d=int(rng.integers(1, 6)))
+            got = mixture_update(ev, theta, weight_floor=1e-3)
+            weights, means = fsum_update(ev, theta, 1e-3)
+            np.testing.assert_allclose(got.weights, weights, rtol=1e-12)
+            np.testing.assert_allclose(got.means, means, rtol=1e-12, atol=1e-14)
+
     def test_single_component_matches_basic(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((300, 3))
@@ -243,6 +271,15 @@ class TestEvaluatePilot:
         assert set(np.unique(ev.payoff)) <= {0.0, 1.0}
         assert np.all(ev.lr > 0)
         assert np.max(np.abs(ev.posteriors.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_matches_separate_evaluations(self):
+        # one shared log-joint gives the same bits as two separate passes
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        theta = MixtureParam([0.3, 0.7], [[2.2], [-2.7]])
+        batch = sample_mixture(theta, 1000, RngStream(14))
+        ev = evaluate_pilot(model.payoff, theta, batch)
+        np.testing.assert_array_equal(ev.lr, likelihood_ratio(theta, batch.x))
+        np.testing.assert_array_equal(ev.posteriors, posterior(theta, batch.x))
 
     def test_rejects_negative_payoff(self):
         with pytest.raises(ValueError):

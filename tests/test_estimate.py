@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from cemix.errors import UnequalSampleSize
 from cemix.estimate import EstimateReport, is_estimate, plain_mc_estimate, variance_ratio
-from cemix.mixture import MixtureParam
+from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
 from cemix.models import TwoSidedTail
 from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
@@ -30,11 +30,50 @@ class Constant:
         return np.full(np.asarray(x).shape[0], 3.25)
 
 
+class Exponential:
+    """V(x) = exp(c . x); sampled at the tilt c, V * lr is the constant
+    exp(|c|^2 / 2), so the IS estimator has zero variance."""
+
+    c = np.array([1.2, -0.8])
+    dim = 2
+
+    @classmethod
+    def payoff(cls, x):
+        return np.exp(np.asarray(x) @ cls.c)
+
+
 class TestIsEstimate:
     def test_constant_payoff_zero_variance_under_identity(self):
         report = plain_mc_estimate(Constant(), 1000, RngStream(0))
         assert report.estimate == pytest.approx(3.25, abs=1e-12)
         assert report.std_error == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_tilt_zero_variance(self):
+        # only rounding noise remains; a sum-of-squares variance would
+        # cancel to ~1e-11 here
+        theta = MixtureParam.single(Exponential.c)
+        for chunk_size in (200_000, 7_000):
+            report = is_estimate(Exponential(), theta, 100_000, RngStream(12),
+                                 chunk_size=chunk_size)
+            assert report.estimate == pytest.approx(math.exp(0.5 * 2.08), rel=1e-13)
+            assert report.relative_error <= 1e-15
+
+    def test_chunk_merge_matches_two_pass_reference(self):
+        # the merged chunk moments equal the mean and variance of all draws
+        # taken at once, summed with fsum
+        model = TwoSidedTail(a=1.0, b=-1.5)
+        theta = MixtureParam([0.5, 0.5], [[1.0], [-1.5]])
+        n, chunk, stream = 50_000, 7_000, RngStream(13)
+        report = is_estimate(model, theta, n, stream, chunk_size=chunk)
+        vals = []
+        for k, start in enumerate(range(0, n, chunk)):
+            x = sample_mixture(theta, min(chunk, n - start),
+                               stream.child(counter=k)).x
+            vals.extend(model.payoff(x) * likelihood_ratio(theta, x))
+        mean = math.fsum(vals) / n
+        var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+        assert report.estimate == pytest.approx(mean, rel=1e-13)
+        assert report.std_error == pytest.approx(math.sqrt(var / n), rel=1e-12)
 
     def test_unbiased_for_tilted_constant(self):
         theta = MixtureParam([0.5, 0.5], [[1.0, 0.0], [0.0, -1.0]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from cemix.errors import DimensionMismatch
 from cemix.mixture import (
@@ -154,6 +155,16 @@ class TestSampleMixture:
         s = RngStream(5)
         np.testing.assert_array_equal(sample_mixture(theta, 100, s).x,
                                       sample_mixture(theta, 100, s).x)
+
+    def test_one_uniform_draw_per_batch(self):
+        # labels take the first n uniforms, the normals the next n*d
+        theta = MixtureParam([0.3, 0.7], [[1.0, 0.0, 2.0], [-1.0, 0.5, 0.0]])
+        n, s = 50, RngStream(8, iteration=2)
+        u = s.uniforms(n * 4)
+        batch = sample_mixture(theta, n, s)
+        np.testing.assert_array_equal(batch.labels, (u[:n] > 0.3).astype(int))
+        np.testing.assert_array_equal(
+            batch.x, ndtri(u[n:].reshape(n, 3)) + theta.means[batch.labels])
 
     def test_single_component_moments(self):
         n = 100_000

@@ -25,6 +25,10 @@ class TestTwoSidedTail:
         x = np.array([[1.0], [0.99], [-1.5], [-1.49], [0.0], [5.0]])
         np.testing.assert_array_equal(model.payoff(x), [1, 0, 1, 0, 0, 1])
 
+    def test_three_dimensional_batch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            TwoSidedTail(a=1.0, b=-1.0).payoff(np.zeros((5, 1, 3)))
+
     def test_mean_matches_cdf_oracle(self):
         model = TwoSidedTail(a=2.0, b=-2.5)
         x = RngStream(1).normals(1_000_000, 1)
@@ -63,6 +67,16 @@ class TestRarityDeltas:
         x = RngStream(2).normals(10_000, 1)
         np.testing.assert_array_equal(rarity_embedding(model, [1.0, 1.0], x),
                                       model.payoff(x))
+
+    def test_sample_setting_delta_is_member(self):
+        # for this sample (x/b)*b rounds below x; it sets delta[1] and must
+        # still count as reaching the delta-scaled set
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        x = np.array([[-3.069274373323133], [0.0], [5.0]])
+        delta = model.rarity_delta(x, 1, np.zeros(2))
+        np.testing.assert_array_equal(model.rarity_membership(delta, x),
+                                      [[False, True], [False, False], [True, False]])
+        np.testing.assert_array_equal(model.rarity_payoff(delta, x), [1.0, 0.0, 1.0])
 
     def test_rarity_payoff_monotone_in_delta(self):
         model = TwoSidedTail(a=1.5, b=-2.0)
@@ -204,6 +218,12 @@ class TestPyramidOption:
         # the all-plus tilt is built to put the spread at the strike, up to
         # the half-variance term dropped by the approximation
         assert spread >= 40.0 * 0.8
+
+    def test_bad_corr(self):
+        with pytest.raises(ConfigError):
+            PyramidOption(s0=[50.0, 45.0], sigmas=[0.2, 0.25], asset_strikes=[55.0, 50.0],
+                          corr=[[2.0, 0.3], [0.3, 2.0]], r=0.03, maturity=1.0,
+                          strike=30.0)
 
     def test_component_count_and_cap(self):
         assert self.make2().default_components == 4

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cemix.errors import ConfigError
 from cemix.rng import PHASES, RngStream
 
 
@@ -61,3 +64,32 @@ def test_bad_counts_rejected():
 def test_uniforms_open_interval():
     u = RngStream(11).uniforms((1000,))
     assert np.all((u > 0) & (u < 1))
+
+
+@pytest.mark.parametrize("coords", [
+    dict(seed=-1), dict(seed=2**64), dict(seed=0, iteration=-1), dict(seed=0, iteration=2**28),
+    dict(seed=0, counter=-1), dict(seed=0, counter=2**32),
+])
+def test_out_of_range_coordinates_rejected(coords):
+    with pytest.raises(ConfigError):
+        RngStream(**coords)
+
+
+def test_child_out_of_range_rejected():
+    with pytest.raises(ConfigError):
+        RngStream(0).child(counter=2**32)
+
+
+def test_extreme_in_range_coordinates_accepted():
+    s = RngStream(2**64 - 1, phase="baseline", iteration=2**28 - 1, counter=2**32 - 1)
+    assert s.uniforms(3).shape == (3,)
+
+
+in_range = st.tuples(st.integers(0, 2**64 - 1), st.sampled_from(PHASES),
+                     st.integers(0, 2**28 - 1), st.integers(0, 2**32 - 1))
+
+
+@given(in_range, in_range)
+def test_distinct_coordinates_give_distinct_keys(a, b):
+    if a != b:
+        assert RngStream(*a)._key() != RngStream(*b)._key()
