@@ -31,6 +31,17 @@ EXIT_DEGENERATE = 3
 EXIT_STAGNANT = 4
 
 
+# (YAML section, key, ExperimentConfig field, type)
+_CONFIG_KEYS = (
+    ("ce", "pilot_size", "pilot_size", int),
+    ("ce", "iterations", "iterations", int),
+    ("ce", "weight_floor", "weight_floor", float),
+    ("sampling", "n", "n_final", int),
+    ("sampling", "seed", "seed", int),
+    ("output", "path", "output", str),
+)
+
+
 def load_config(path: str) -> ExperimentConfig:
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict) or "model" not in raw or "init" not in raw:
@@ -40,20 +51,11 @@ def load_config(path: str) -> ExperimentConfig:
         name = model.pop("name")
     except KeyError:
         raise ConfigError("model section needs a 'name'") from None
-    ce = raw.get("ce", {})
-    sampling = raw.get("sampling", {})
-    return ExperimentConfig(
-        model=name,
-        model_params=model,
-        init=dict(raw["init"]),
-        pilot_size=int(ce.get("pilot_size", 10000)),
-        iterations=int(ce.get("iterations", 5)),
-        weight_floor=float(ce.get("weight_floor", 1e-4)),
-        n_final=int(sampling.get("n", 100000)),
-        seed=int(sampling.get("seed", 0)),
-        output=str(raw.get("output", {}).get("path", "")) if raw.get("output") else "",
-        label=str(raw.get("label", name)),
-    )
+    # keys the file leaves out keep ExperimentConfig's defaults
+    given = {field: cast(raw[section][key]) for section, key, field, cast in _CONFIG_KEYS
+             if key in (raw.get(section) or {})}
+    return ExperimentConfig(model=name, model_params=model, init=dict(raw["init"]),
+                            label=str(raw.get("label", name)), **given)
 
 
 def _echo_config(cfg: ExperimentConfig, out):

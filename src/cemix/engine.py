@@ -92,8 +92,8 @@ def mixture_update(ev: PilotEvaluation, theta_prev: MixtureParam,
     """
     w = ev.payoff * ev.lr
     denom = w.sum()
-    if denom <= 0:
-        raise DegenerateUpdate("all payoff-weighted mass is zero")
+    if not (np.isfinite(denom) and denom > 0):
+        raise DegenerateUpdate(f"payoff-weighted mass is {denom}, not finite and positive")
     wp = ev.posteriors * w[:, None]
     mass = wp.sum(axis=0)
     live = mass > 0

@@ -37,8 +37,9 @@ class ApproxUnavailable(CemixError):
     """Model has no analytical initialization map."""
 
 
-class EmbeddingUnavailable(CemixError):
-    """Model has no rarity embedding."""
+class EmbeddingUnavailable(ApproxUnavailable):
+    """Model has no rarity embedding; like ApproxUnavailable, the model
+    lacks the map an initializer needs."""
 
 
 class UnequalSampleSize(CemixError):

@@ -14,8 +14,15 @@ from .engine import CeConfig, run_ce
 from .errors import ConfigError
 from .estimate import is_estimate, plain_mc_estimate, variance_ratio
 from .initialization import RarityConfig, init_approx, init_perturbation, init_rarity_ce
-from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam
-from .models import AsianCall, CevDigital, PyramidOption, RainbowOption, TwoSidedTail
+from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, min_tilt_distance
+from .models import (
+    AsianCall,
+    CevDigital,
+    PyramidOption,
+    RainbowOption,
+    TwoSidedTail,
+    require_init,
+)
 from .rng import RngStream
 
 MODEL_REGISTRY = {
@@ -24,14 +31,6 @@ MODEL_REGISTRY = {
     "rainbow": RainbowOption,
     "pyramid": PyramidOption,
     "cev_digital": CevDigital,
-}
-
-SUPPORTED_INITS = {
-    "two_sided_tail": ("perturbation", "rarity_ce", "approx"),
-    "asian_call": ("perturbation", "approx"),
-    "rainbow": ("perturbation", "rarity_ce", "approx"),
-    "pyramid": ("perturbation", "approx"),
-    "cev_digital": ("approx",),
 }
 
 # final tilt vectors closer than this mark a collapsed mixture
@@ -63,12 +62,16 @@ class ExperimentConfig:
             if count < 1:
                 raise ConfigError("counts must be >= 1")
         method = self.init.get("method")
-        if method not in ("perturbation", "rarity_ce", "approx"):
-            raise ConfigError(f"unknown init method {method!r}")
+        require_init(MODEL_REGISTRY[self.model], method)
         if method == "rarity_ce":
-            rho = self.init.get("rho", 0.05)
-            if not 0.0 < rho < 1.0:
-                raise ConfigError("rho must lie in (0, 1)")
+            self.rarity_config()  # RarityConfig checks rho
+
+    def rarity_config(self) -> RarityConfig:
+        """Stage parameters of a rarity_ce init; keys the init dict leaves
+        out keep RarityConfig's defaults."""
+        keys = ("rho", "max_stages", "adapt_weights")
+        return RarityConfig(pilot_size=self.pilot_size,
+                            **{k: self.init[k] for k in keys if k in self.init})
 
 
 @dataclass
@@ -122,23 +125,9 @@ def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):
         )
     if method == "perturbation":
         return start, 0
-    rcfg = RarityConfig(
-        rho=init.get("rho", 0.05),
-        pilot_size=cfg.pilot_size,
-        max_stages=init.get("max_stages", 50),
-        adapt_weights=init.get("adapt_weights", False),
-    )
     theta, trace = init_rarity_ce(
-        model, rcfg, start, stream.child(phase="init", iteration=1))
+        model, cfg.rarity_config(), start, stream.child(phase="init", iteration=1))
     return theta, len(trace)
-
-
-def _collapsed(theta: MixtureParam) -> bool:
-    for i in range(theta.m):
-        for j in range(i + 1, theta.m):
-            if np.linalg.norm(theta.means[i] - theta.means[j]) <= COLLAPSE_DISTANCE:
-                return True
-    return False
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
@@ -152,7 +141,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     report = is_estimate(model, theta, cfg.n_final, stream.child(phase="final_is"))
     baseline = plain_mc_estimate(model, cfg.n_final, stream.child(phase="baseline"))
     flags = []
-    if _collapsed(theta):
+    if min_tilt_distance(theta.means) <= COLLAPSE_DISTANCE:
         flags.append("collapse")
     if report.lr_concentrated:
         flags.append("lr_concentration")
@@ -276,6 +265,6 @@ def list_models() -> list:
         catalog.append({
             "name": name,
             "parameters": params,
-            "init_methods": list(SUPPORTED_INITS[name]),
+            "init_methods": list(cls.inits),
         })
     return catalog

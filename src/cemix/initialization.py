@@ -3,13 +3,15 @@ rarity-parameter scheme, and analytical approximation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import evaluate_pilot, mixture_update
-from .errors import ApproxUnavailable, ConfigError, StagnantRarity
-from .mixture import MixtureParam, sample_mixture
+from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
+from .mixture import MixtureParam, min_tilt_distance, sample_mixture
+from .models import require_init
+from .numerics import order_statistic
 from .rng import RngStream
 
 
@@ -64,25 +66,24 @@ def init_perturbation(m: int, base, scale: float, stream: RngStream,
         eps = gen.uniform(-scale, scale, size=(m, base.size)) if scale > 0 \
             else np.zeros((m, base.size))
         means = base[None, :] + eps
-        if _pairwise_distinct(means):
+        if min_tilt_distance(means) > 0:
             return MixtureParam.uniform(means)
     raise ConfigError("could not draw pairwise-distinct perturbations")
 
 
-def _pairwise_distinct(means: np.ndarray) -> bool:
-    m = means.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.array_equal(means[i], means[j]):
-                return False
-    return True
-
-
 def init_approx(model) -> MixtureParam:
     """Equal-weight mixture from the model's analytical tilt map."""
-    if not getattr(model, "supports_approx", False):
-        raise ApproxUnavailable(f"{model.name} has no approximation initializer")
+    require_init(model, "approx", ApproxUnavailable)
     return MixtureParam.uniform(model.approx_tilts())
+
+
+def rarity_delta(levels, n0: int, prev) -> np.ndarray:
+    """Per column of the (n, k) rarity levels, the largest delta that at
+    least n0 samples reach (the n0-th largest level), never below prev."""
+    levels = np.asarray(levels, dtype=float)
+    n = levels.shape[0]
+    reached = np.array([order_statistic(col, n - n0 + 1) for col in levels.T])
+    return np.maximum(reached, np.asarray(prev, dtype=float))
 
 
 def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
@@ -91,15 +92,16 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
 
     Repeats {sample pilot; grow delta to the largest value still reached by
     n0 samples per component; update means with the delta-scaled payoff}
-    until delta >= 1 componentwise.  Weights stay fixed at 1/m unless
-    cfg.adapt_weights is set.  Returns (theta, stage trace); the terminal
+    until delta >= 1 componentwise.  A sample is in a component's set when
+    its rarity level (model.rarity_levels) reaches that component's delta.
+    Weights stay fixed at 1/m unless cfg.adapt_weights is set.  Returns
+    (theta, stage trace); the terminal
     theta is the starting parameter for the main CE run.  Stage s draws its
     pilot from the init stream at iteration stream.iteration + s, so the
     stages occupy iterations [stream.iteration, stream.iteration +
     cfg.max_stages) and leave every lower iteration to the caller.
     """
-    if not getattr(model, "supports_rarity", False):
-        raise ApproxUnavailable(f"{model.name} has no rarity embedding")
+    require_init(model, "rarity_ce", EmbeddingUnavailable)
     m = theta_start.m
     theta = MixtureParam.uniform(theta_start.means)  # enforce weights 1/m
     n0 = cfg.n0(m)
@@ -108,10 +110,11 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     for stage in range(cfg.max_stages):
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="init", iteration=stream.iteration + stage))
-        new_delta = model.rarity_delta(batch.x, n0, delta)
+        levels = model.rarity_levels(batch.x)
+        new_delta = rarity_delta(levels, n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
         ev = evaluate_pilot(lambda x: model.rarity_payoff(new_delta, x), theta, batch)
-        counts = model.rarity_membership(new_delta, batch.x).sum(axis=0)
+        counts = (levels >= new_delta).sum(axis=0)
         updated = mixture_update(ev, theta, weight_floor=cfg.min_weight / m)
         if cfg.adapt_weights:
             weights = np.maximum(updated.weights, cfg.min_weight)

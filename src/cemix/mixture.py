@@ -70,6 +70,14 @@ class MixtureParam:
         return MixtureParam(self.weights[perm], self.means[perm])
 
 
+def min_tilt_distance(means) -> float:
+    """Smallest Euclidean distance between two rows of an (m, d) tilt array;
+    inf for a single row."""
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    i, j = np.triu_indices(means.shape[0], k=1)
+    return float(np.linalg.norm(means[i] - means[j], axis=1).min(initial=np.inf))
+
+
 @dataclass
 class SampleBatch:
     """Draws from a mixture.

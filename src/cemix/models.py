@@ -1,23 +1,24 @@
 """Payoff models on standard-normal input spaces.
 
 Each model maps a batch of iid N(0, I_d) inputs to nonnegative discounted
-payoffs.  Models optionally expose
+payoffs and names the initializers it supports in its `inits` tuple:
 
-* a rarity embedding (`rarity_delta` / `rarity_payoff`) used by the
-  staged initializer, and
-* an analytical initialization map (`approx_tilts`).
+* "perturbation" needs nothing beyond `dim` and `default_components`,
+* "rarity_ce" needs a rarity embedding: `rarity_levels(x)`, the (n, k)
+  rarity parameter each sample reaches, and `rarity_payoff(delta, x)`,
+* "approx" needs an analytical initialization map (`approx_tilts`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable
 from .mixture import _as_batch
-from .numerics import bisect_root, cholesky, order_statistic
+from .numerics import bisect_root, cholesky
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
 
@@ -30,8 +31,7 @@ class TwoSidedTail:
     b: float
 
     name = "two_sided_tail"
-    supports_rarity = True
-    supports_approx = True
+    inits = ("perturbation", "rarity_ce", "approx")
 
     def __post_init__(self):
         if not self.b < 0 < self.a:
@@ -49,42 +49,20 @@ class TwoSidedTail:
         x = _as_batch(x, 1)[:, 0]
         return ((x >= self.a) | (x <= self.b)).astype(float)
 
-    def rarity_delta(self, x, n0, prev):
-        return rarity_delta_two_sided(_as_batch(x, 1)[:, 0], self.a, self.b, n0, prev)
+    def rarity_levels(self, x):
+        """(n, 2) rarity reached per side: x/a above, x/b below.
+
+        Sets are compared in delta space (x/a >= delta[0]) rather than
+        against delta*a, where rounding in (x/a)*a could drop the very
+        sample that set delta.
+        """
+        return _as_batch(x, 1) / np.array([self.a, self.b])
 
     def rarity_payoff(self, delta, x):
-        return self.rarity_membership(delta, x).any(axis=1).astype(float)
-
-    def rarity_membership(self, delta, x):
-        """(n, 2) indicator of reaching each side's delta-scaled set.
-
-        Tested as x/a >= delta[0] and x/b >= delta[1] rather than against
-        delta*a and delta*b: rarity_delta divides a sample by a or b, and
-        rounding in (x/a)*a could drop that very sample from the set.
-        """
-        x = _as_batch(x, 1)[:, 0]
-        return np.column_stack([x / self.a >= delta[0], x / self.b >= delta[1]])
+        return (self.rarity_levels(x) >= delta).any(axis=1).astype(float)
 
     def approx_tilts(self):
         return np.array([[self.a], [self.b]])
-
-
-def rarity_delta_two_sided(samples, a, b, n0, prev):
-    """Largest rarity pair reached by at least n0 samples per side."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    d1 = order_statistic(samples, n - n0 + 1) / a
-    d2 = order_statistic(samples, n0) / b
-    return np.maximum(np.array([d1, d2]), np.asarray(prev, dtype=float))
-
-
-def rarity_delta_rainbow(prices, strike, n0, prev):
-    """Per-asset rarity from terminal-price order statistics."""
-    prices = np.asarray(prices, dtype=float)
-    n = prices.shape[0]
-    cand = np.array([order_statistic(prices[:, j], n - n0 + 1)
-                     for j in range(prices.shape[1])]) / strike
-    return np.maximum(cand, np.asarray(prev, dtype=float))
 
 
 @dataclass
@@ -101,8 +79,7 @@ class AsianCall:
     times: np.ndarray = None  # monitoring dates; default uniform i*T/d
 
     name = "asian_call"
-    supports_rarity = False
-    supports_approx = True
+    inits = ("perturbation", "approx")
 
     def __post_init__(self):
         if self.times is None:
@@ -187,8 +164,7 @@ class RainbowOption(CorrelatedGbm):
     strike: float
 
     name = "rainbow"
-    supports_rarity = True
-    supports_approx = True
+    inits = ("perturbation", "rarity_ce", "approx")
 
     def __post_init__(self):
         self._init_gbm()
@@ -202,20 +178,19 @@ class RainbowOption(CorrelatedGbm):
         best = (disc * self.terminal_prices(x)).max(axis=1)
         return np.maximum(best - disc * self.strike, 0.0)
 
-    def rarity_delta(self, x, n0, prev):
-        return rarity_delta_rainbow(self.terminal_prices(x), self.strike, n0, prev)
+    def rarity_levels(self, x):
+        """(n, d) rarity reached per asset: terminal price over strike."""
+        return self.terminal_prices(x) / self.strike
 
     def rarity_payoff(self, delta, x):
         disc = np.exp(-self.r * self.maturity)
         prices = self.terminal_prices(x)
         delta = np.asarray(delta, dtype=float)
         h = (disc * prices - disc * delta[None, :] * self.strike).max(axis=1)
-        in_set = np.any(prices > delta[None, :] * self.strike, axis=1)
+        # the level comparison of init_rarity_ce, so the sample that set
+        # delta is in the set
+        in_set = np.any(prices / self.strike >= delta[None, :], axis=1)
         return np.maximum(h, 0.0) * in_set
-
-    def rarity_membership(self, delta, x):
-        """(n, d) indicator of each asset exceeding its delta-scaled strike."""
-        return self.terminal_prices(x) > np.asarray(delta, dtype=float)[None, :] * self.strike
 
     def approx_tilts(self):
         """One tilt per asset, lifting that asset's mean terminal price to K."""
@@ -242,8 +217,7 @@ class PyramidOption(CorrelatedGbm):
     strike: float
 
     name = "pyramid"
-    supports_rarity = False
-    supports_approx = True
+    inits = ("perturbation", "approx")
 
     def __post_init__(self):
         self._init_gbm()
@@ -306,8 +280,7 @@ class CevDigital:
     n_steps: int = 50
 
     name = "cev_digital"
-    supports_rarity = False
-    supports_approx = True
+    inits = ("approx",)
 
     def __post_init__(self):
         if not (0.5 <= self.gamma1 <= 1.0 and 0.5 <= self.gamma2 <= 1.0):
@@ -376,8 +349,14 @@ class CevDigital:
         return np.vstack([tilt_w, tilt_b])
 
 
+def require_init(model, method: str, error=ConfigError):
+    """Raise error unless the model (class or instance) lists method in its
+    inits."""
+    if method not in getattr(model, "inits", ()):
+        raise error(f"{model.name} does not support init method {method!r}")
+
+
 def rarity_embedding(model, delta, x):
     """delta-scaled payoff V_delta; recovers V at delta = 1."""
-    if not getattr(model, "supports_rarity", False):
-        raise EmbeddingUnavailable(f"{model.name} has no rarity embedding")
+    require_init(model, "rarity_ce", EmbeddingUnavailable)
     return model.rarity_payoff(np.asarray(delta, dtype=float), x)

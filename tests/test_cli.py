@@ -6,6 +6,7 @@ from cemix.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_STAGNANT, load_config, 
 from cemix.errors import ConfigError
 from cemix.experiments import (
     CSV_HEADER,
+    MODEL_REGISTRY,
     ExperimentConfig,
     list_models,
     run_experiment,
@@ -95,6 +96,21 @@ class TestExperiments:
         assert "strike" in catalog["asian_call"]["parameters"]
 
 
+    def test_catalog_matches_validator(self):
+        # ExperimentConfig accepts a (model, init) pair exactly when
+        # list_models lists it
+        catalog = {entry["name"]: entry["init_methods"] for entry in list_models()}
+        assert set(catalog) == set(MODEL_REGISTRY)
+        for name in MODEL_REGISTRY:
+            for method in ("perturbation", "rarity_ce", "approx"):
+                try:
+                    ExperimentConfig(model=name, model_params={}, init={"method": method})
+                    accepted = True
+                except ConfigError:
+                    accepted = False
+                assert accepted == (method in catalog[name]), (name, method)
+
+
 class TestLoadConfig:
     def test_full_roundtrip(self, tmp_path):
         path = write_config(tmp_path / "cfg.yaml",
@@ -160,6 +176,21 @@ class TestCliMain:
                            ce={"pilot_size": 1000, "iterations": 2})
         assert main(["run", str(cfg)]) == EXIT_DEGENERATE
         assert "degenerate" in capsys.readouterr().err
+
+    def test_non_finite_mass_degenerate_exit(self, tmp_path, capsys):
+        # ||x||^2 of a draw near 1e160 overflows, so the likelihood ratios
+        # and the V*lr mass turn NaN
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           init={"method": "perturbation", "means": [[1.0e160], [-0.1]]})
+        assert main(["run", str(cfg)]) == EXIT_DEGENERATE
+        assert "degenerate" in capsys.readouterr().err
+
+    def test_rho_out_of_range_config_exit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           init={"method": "rarity_ce", "means": [[0.0], [-0.1]],
+                                 "rho": 1.5})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "rho" in capsys.readouterr().err
 
     def test_stagnant_exit(self, tmp_path, capsys):
         cfg = write_config(

@@ -107,9 +107,24 @@ class TestRarityCe:
         for rec in trace:
             np.testing.assert_allclose(rec.theta.weights, 0.5)
 
+    def run_rainbow(self, seed, strike=60.0):
+        model = RainbowOption(s0=[50.0, 45.0], sigmas=[0.1, 0.15],
+                              corr=[[1.0, 0.2], [0.2, 1.0]], r=0.03,
+                              maturity=1.0, strike=strike)
+        cfg = RarityConfig(rho=0.05, pilot_size=10000)
+        theta0 = MixtureParam.uniform(np.zeros((2, 2)) + [[0.0, 0.0], [0.1, 0.1]])
+        theta, trace = init_rarity_ce(model, cfg, theta0, RngStream(seed, phase="init"))
+        return model, theta, trace
+
     def test_membership_counts_meet_threshold(self):
         _, trace = self.run_two_sided(2.0, -2.5, seed=4)
         n0 = RarityConfig(rho=0.05, pilot_size=20000).n0(2)
+        for rec in trace:
+            assert np.all(rec.samples_in_set[~rec.clamped] >= n0)
+        # per asset, the sample that sets the rainbow's delta is in its set
+        _, _, trace = self.run_rainbow(seed=5, strike=75.0)
+        n0 = RarityConfig(rho=0.05, pilot_size=10000).n0(2)
+        assert len(trace) >= 2
         for rec in trace:
             assert np.all(rec.samples_in_set[~rec.clamped] >= n0)
 
@@ -118,12 +133,7 @@ class TestRarityCe:
             self.run_two_sided(20.0, -20.0, max_stages=2)
 
     def test_rainbow_runs(self):
-        model = RainbowOption(s0=[50.0, 45.0], sigmas=[0.1, 0.15],
-                              corr=[[1.0, 0.2], [0.2, 1.0]], r=0.03,
-                              maturity=1.0, strike=60.0)
-        cfg = RarityConfig(rho=0.05, pilot_size=10000)
-        theta0 = MixtureParam.uniform(np.zeros((2, 2)) + [[0.0, 0.0], [0.1, 0.1]])
-        theta, trace = init_rarity_ce(model, cfg, theta0, RngStream(5, phase="init"))
+        model, theta, trace = self.run_rainbow(seed=5)
         assert np.all(trace[-1].delta >= 1.0)
         # each component pushes one asset toward the strike
         prices = model.terminal_prices(theta.means)

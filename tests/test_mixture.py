@@ -12,6 +12,7 @@ from cemix.mixture import (
     likelihood_ratio,
     log_component_density,
     log_mixture_density,
+    min_tilt_distance,
     posterior,
     sample_mixture,
 )
@@ -42,6 +43,16 @@ class TestMixtureParam:
     def test_component_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             MixtureParam([0.5, 0.5], [[0.0]])
+
+
+class TestMinTiltDistance:
+    def test_matches_pairwise_loop(self):
+        means = np.random.default_rng(9).standard_normal((6, 3))
+        loop = min(np.linalg.norm(means[i] - means[j])
+                   for i in range(6) for j in range(i + 1, 6))
+        assert min_tilt_distance(means) == pytest.approx(loop, rel=1e-14)
+        assert min_tilt_distance([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]) == 0.0
+        assert min_tilt_distance([[1.0, 2.0]]) == math.inf
 
 
 class TestDensities:

@@ -5,14 +5,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cemix.errors import ConfigError, DimensionMismatch, EmbeddingUnavailable
+from cemix.initialization import rarity_delta
 from cemix.models import (
     AsianCall,
     CevDigital,
     PyramidOption,
     RainbowOption,
     TwoSidedTail,
-    rarity_delta_rainbow,
-    rarity_delta_two_sided,
     rarity_embedding,
 )
 from cemix.numerics import normal_cdf
@@ -48,18 +47,21 @@ class TestTwoSidedTail:
 class TestRarityDeltas:
     def test_two_sided_order_statistics(self):
         samples = np.concatenate([np.arange(1, 101), -np.arange(1, 101)]) / 100.0
-        delta = rarity_delta_two_sided(samples, a=1.0, b=-1.0, n0=10, prev=[0.0, 0.0])
+        levels = TwoSidedTail(a=1.0, b=-1.0).rarity_levels(samples[:, None])
+        delta = rarity_delta(levels, n0=10, prev=[0.0, 0.0])
         # 10th largest is 0.91, 10th smallest is -0.91
         np.testing.assert_allclose(delta, [0.91, 0.91])
 
     def test_monotone_clamp(self):
         samples = np.linspace(-0.5, 0.5, 100)
-        delta = rarity_delta_two_sided(samples, a=1.0, b=-1.0, n0=5, prev=[0.9, 0.9])
+        levels = TwoSidedTail(a=1.0, b=-1.0).rarity_levels(samples[:, None])
+        delta = rarity_delta(levels, n0=5, prev=[0.9, 0.9])
         np.testing.assert_array_equal(delta, [0.9, 0.9])
 
     def test_rainbow_per_asset(self):
         prices = np.column_stack([np.arange(1.0, 101.0), np.arange(101.0, 201.0)])
-        delta = rarity_delta_rainbow(prices, strike=100.0, n0=10, prev=np.zeros(2))
+        # the rainbow's rarity level is the terminal price over the strike
+        delta = rarity_delta(prices / 100.0, n0=10, prev=np.zeros(2))
         np.testing.assert_allclose(delta, [0.91, 1.91])
 
     def test_rarity_payoff_recovers_indicator_at_one(self):
@@ -73,10 +75,24 @@ class TestRarityDeltas:
         # still count as reaching the delta-scaled set
         model = TwoSidedTail(a=2.0, b=-2.5)
         x = np.array([[-3.069274373323133], [0.0], [5.0]])
-        delta = model.rarity_delta(x, 1, np.zeros(2))
-        np.testing.assert_array_equal(model.rarity_membership(delta, x),
+        levels = model.rarity_levels(x)
+        delta = rarity_delta(levels, 1, np.zeros(2))
+        np.testing.assert_array_equal(levels >= delta,
                                       [[False, True], [False, False], [True, False]])
         np.testing.assert_array_equal(model.rarity_payoff(delta, x), [1.0, 0.0, 1.0])
+        # rainbow: r = sigma^2/2 puts x = 0 at prices s0 exactly; that row
+        # sets both deltas, reaches both sets, and for this s0 its
+        # delta-scaled payoff disc*S - disc*delta*K rounds above zero
+        model = RainbowOption(s0=[58.2051153243211, 45.0], sigmas=[0.5, 0.5],
+                              corr=np.eye(2), r=0.125, maturity=1.0, strike=60.0)
+        x = np.array([[0.0, 0.0], [-1.0, -1.0], [-0.5, -2.0]])
+        levels = model.rarity_levels(x)
+        delta = rarity_delta(levels, 1, np.zeros(2))
+        np.testing.assert_array_equal(delta, model.s0 / 60.0)
+        np.testing.assert_array_equal(levels >= delta,
+                                      [[True, True], [False, False], [False, False]])
+        payoff = model.rarity_payoff(delta, x)
+        assert payoff[0] > 0.0 and np.all(payoff[1:] == 0.0)
 
     def test_rarity_payoff_monotone_in_delta(self):
         model = TwoSidedTail(a=1.5, b=-2.0)
@@ -178,7 +194,7 @@ class TestRainbowOption:
     def test_membership_matches_prices(self):
         model = self.make2()
         x = RngStream(5).normals(1000, 2)
-        member = model.rarity_membership(np.array([0.8, 0.8]), x)
+        member = model.rarity_levels(x) >= np.array([0.8, 0.8])
         prices = model.terminal_prices(x)
         np.testing.assert_array_equal(member, prices > 0.8 * 60.0)
 
