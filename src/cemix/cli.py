@@ -42,19 +42,31 @@ _CONFIG_KEYS = (
 )
 
 
+def _section(raw: dict, name: str) -> dict:
+    """One config section; an absent or empty section is {}."""
+    section = raw.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, "
+                          f"got {type(section).__name__}")
+    return section
+
+
 def load_config(path: str) -> ExperimentConfig:
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict) or "model" not in raw or "init" not in raw:
         raise ConfigError("config needs at least 'model' and 'init' sections")
-    model = dict(raw["model"])
+    model = dict(_section(raw, "model"))
     try:
         name = model.pop("name")
     except KeyError:
         raise ConfigError("model section needs a 'name'") from None
     # keys the file leaves out keep ExperimentConfig's defaults
-    given = {field: cast(raw[section][key]) for section, key, field, cast in _CONFIG_KEYS
-             if key in (raw.get(section) or {})}
-    return ExperimentConfig(model=name, model_params=model, init=dict(raw["init"]),
+    given = {field: cast(values[key]) for section, key, field, cast in _CONFIG_KEYS
+             if key in (values := _section(raw, section))}
+    return ExperimentConfig(model=name, model_params=model,
+                            init=dict(_section(raw, "init")),
                             label=str(raw.get("label", name)), **given)
 
 

@@ -29,7 +29,7 @@ class PilotEvaluation:
 
     x: np.ndarray           # (n, d)
     payoff: np.ndarray      # (n,), nonnegative
-    lr: np.ndarray          # (n,), likelihood ratios, positive
+    lr: np.ndarray          # (n,), likelihood ratios, >= 0 (0 once underflowed)
     posteriors: np.ndarray  # (n, m)
 
     def __post_init__(self):
@@ -39,8 +39,9 @@ class PilotEvaluation:
             raise ValueError("inconsistent pilot evaluation lengths")
         if np.any(self.payoff < 0):
             raise ValueError("payoffs must be nonnegative")
-        if np.any(self.lr <= 0):
-            raise ValueError("likelihood ratios must be positive")
+        # an lr that underflows to 0 under a far tilt is a zero weight
+        if not np.all(np.isfinite(self.lr) & (self.lr >= 0)):
+            raise DegenerateUpdate("likelihood ratios must be finite and nonnegative")
 
     @property
     def m(self) -> int:
@@ -125,16 +126,16 @@ def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
     for it in range(1, cfg.iterations + 1):
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="pilot", iteration=it))
-        ev = evaluate_pilot(model.payoff, theta, batch)
+        try:
+            ev = evaluate_pilot(model.payoff, theta, batch)
+            theta = mixture_update(ev, theta, cfg.weight_floor)
+        except DegenerateUpdate as exc:
+            raise DegenerateUpdate(str(exc), iteration=it) from exc
         warnings = []
         positive = int(np.count_nonzero(ev.payoff > 0))
         if positive < cfg.degenerate_threshold:
             warnings.append(
                 f"only {positive} positive-payoff pilot samples; estimate unreliable")
-        try:
-            theta = mixture_update(ev, theta, cfg.weight_floor)
-        except DegenerateUpdate as exc:
-            raise DegenerateUpdate(str(exc), iteration=it) from exc
         trace.append(IterationRecord(
             iteration=it,
             theta=theta,

@@ -33,6 +33,25 @@ class EstimateReport:
         return self.std_error ** 2 * self.n
 
 
+def chunk_moments(vals: np.ndarray):
+    """(count, mean, M2) of one chunk of values, M2 being the sum of
+    squared deviations from the mean (two-pass)."""
+    mean = float(vals.mean())
+    return vals.size, mean, float(np.sum((vals - mean) ** 2))
+
+
+def merge_moments(a, b):
+    """Pairwise merge of two (count, mean, M2) moments (Chan, Golub and
+    LeVeque); accurate down to zero variance.  The empty moments
+    (0, 0.0, 0.0) merge as an identity."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    m2 = m2_a + (m2_b + delta * delta * (n_a * n_b / n))
+    return n, mean_a + delta * (n_b / n), m2
+
+
 def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
                 chunk_size: int = _CHUNK) -> EstimateReport:
     """Mean and standard error of V(X) * lr(X) over n draws from the mixture.
@@ -40,28 +59,23 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
     Sampling is chunked over the stream counter: chunk k draws from the
     sub-stream with counter offset k, so a run is reproducible for a fixed
     chunk size and chunks can be evaluated independently.  Each chunk is
-    reduced to (count, mean, M2), its sum of squared deviations, and the
-    chunks are merged in chunk order by the pairwise update of Chan, Golub
-    and LeVeque, which stays accurate down to zero variance.
+    reduced to its chunk_moments and the chunks are merged in chunk order
+    by merge_moments.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    count, est, m2 = 0, 0.0, 0.0
+    moments = (0, 0.0, 0.0)
     min_lr, max_lr, max_val = np.inf, -np.inf, 0.0
     for k, start in enumerate(range(0, n, chunk_size)):
         c = min(chunk_size, n - start)
         batch = sample_mixture(theta, c, stream.child(counter=stream.counter + k))
         lr = likelihood_ratio(theta, batch.x)
         vals = np.asarray(model.payoff(batch.x), dtype=float) * lr
-        c_mean = float(vals.mean())
-        c_m2 = float(np.sum((vals - c_mean) ** 2))
-        delta = c_mean - est
-        est += delta * (c / (count + c))
-        m2 += c_m2 + delta * delta * (count * c / (count + c))
-        count += c
+        moments = merge_moments(moments, chunk_moments(vals))
         min_lr = min(min_lr, float(lr.min()))
         max_lr = max(max_lr, float(lr.max()))
         max_val = max(max_val, float(vals.max()))
+    _, est, m2 = moments
     se = math.sqrt(m2 / (n - 1) / n)
     return EstimateReport(
         estimate=est,

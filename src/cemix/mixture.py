@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 from .errors import DimensionMismatch
 from .rng import RngStream
@@ -21,6 +21,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # updated weights below this are clamped and the vector renormalized, so no
 # component ever becomes unrecoverable
 DEFAULT_WEIGHT_FLOOR = 1e-4
+
+# the sampler adds component means this many rows at a time, so the gathered
+# means never take more than a (_SHIFT_ROWS, d) temporary
+_SHIFT_ROWS = 4096
 
 
 @dataclass
@@ -111,47 +115,57 @@ def log_component_density(alpha, x) -> np.ndarray:
     return -0.5 * np.einsum("nd,nd->n", diff, diff) - 0.5 * alpha.size * LOG_2PI
 
 
-def _log_joint(theta: MixtureParam, x) -> np.ndarray:
-    """(n, m) matrix of log(w_j * phi_d(x - alpha_j))."""
+def _tilts(theta: MixtureParam, x) -> np.ndarray:
+    """(m, n) tilt matrix t_j(x) = alpha_j.x + log w_j - |alpha_j|^2 / 2.
+
+    w_j phi_d(x - alpha_j) = phi_d(x) exp(t_j(x)), so the |x|^2 terms cancel
+    and are never formed.  Components run along axis 0, so the per-sample
+    reductions are elementwise over contiguous rows.
+    """
     x = _as_batch(x, theta.dim)
-    # ||x - a||^2 = ||x||^2 - 2 x.a + ||a||^2
-    sq = np.sum(x * x, axis=1)[:, None] - 2.0 * x @ theta.means.T \
-        + np.sum(theta.means * theta.means, axis=1)[None, :]
-    return np.log(theta.weights)[None, :] - 0.5 * sq - 0.5 * theta.dim * LOG_2PI
+    a = theta.means
+    t = a @ x.T
+    t += (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
+    return t
+
+
+def _shifted_exp(t: np.ndarray):
+    """Per-sample max of t, exp(t - max) written over t, and its per-sample
+    sum (>= 1)."""
+    top = t.max(axis=0)
+    t -= top
+    np.exp(t, out=t)
+    return top, t, t.sum(axis=0)
 
 
 def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
-    """log h_theta(x) via max-shifted summation."""
-    return logsumexp(_log_joint(theta, x), axis=1)
-
-
-def _posterior(lj: np.ndarray) -> np.ndarray:
-    p = np.exp(lj - lj.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    return p
-
-
-def _likelihood_ratio(theta: MixtureParam, x: np.ndarray, lj: np.ndarray) -> np.ndarray:
-    log_f = -0.5 * np.sum(x * x, axis=1) - 0.5 * theta.dim * LOG_2PI
-    return np.exp(log_f - logsumexp(lj, axis=1))
-
-
-def posterior(theta: MixtureParam, x) -> np.ndarray:
-    """(n, m) component posteriors h_theta(j | x); rows sum to 1."""
-    return _posterior(_log_joint(theta, x))
+    """log h_theta(x) = log phi_d(x) + log sum_j exp(t_j(x)), max-shifted."""
+    x = _as_batch(x, theta.dim)
+    top, _, s = _shifted_exp(_tilts(theta, x))
+    return top + np.log(s) - 0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * theta.dim * LOG_2PI
 
 
 def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
-    """phi_d(x) / h_theta(x); the unbiasedness correction factor."""
-    x = _as_batch(x, theta.dim)
-    return _likelihood_ratio(theta, x, _log_joint(theta, x))
+    """phi_d(x) / h_theta(x) = 1 / sum_j exp(t_j(x)); the unbiasedness
+    correction factor.  Exactly 1 under the identity tilt; 0 once it
+    underflows far out in a component's tail."""
+    top, _, s = _shifted_exp(_tilts(theta, x))
+    return np.exp(-top) / s
 
 
 def lr_and_posterior(theta: MixtureParam, x):
-    """likelihood_ratio and posterior of one batch from a single log-joint."""
-    x = _as_batch(x, theta.dim)
-    lj = _log_joint(theta, x)
-    return _likelihood_ratio(theta, x, lj), _posterior(lj)
+    """likelihood_ratio and posterior of one batch from a single tilt matrix."""
+    top, e, s = _shifted_exp(_tilts(theta, x))
+    e /= s
+    # row-major like x: numpy sums over samples in an order set by the
+    # layout, and the CE update should round as for any (n, m) array
+    return np.exp(-top) / s, np.ascontiguousarray(e.T)
+
+
+def posterior(theta: MixtureParam, x) -> np.ndarray:
+    """(n, m) component posteriors h_theta(j | x) = exp(t_j) / sum_i exp(t_i);
+    rows sum to 1."""
+    return lr_and_posterior(theta, x)[1]
 
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
@@ -167,5 +181,7 @@ def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatc
     labels = np.minimum(np.searchsorted(np.cumsum(theta.weights), u[:n]), theta.m - 1)
     x = u[n:].reshape(n, theta.dim)
     ndtri(x, out=x)  # in place: a (n, d) batch is the largest array of a run
-    x += theta.means[labels]
+    for start in range(0, n, _SHIFT_ROWS):
+        rows = slice(start, start + _SHIFT_ROWS)
+        x[rows] += theta.means[labels[rows]]
     return SampleBatch(x=x, labels=labels)

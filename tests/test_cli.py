@@ -12,6 +12,7 @@ from cemix.experiments import (
     run_experiment,
     table_configs,
 )
+from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
 
 
@@ -178,12 +179,40 @@ class TestCliMain:
         assert "degenerate" in capsys.readouterr().err
 
     def test_non_finite_mass_degenerate_exit(self, tmp_path, capsys):
-        # ||x||^2 of a draw near 1e160 overflows, so the likelihood ratios
-        # and the V*lr mass turn NaN
+        # the tilt alpha.x of a draw near 1e160 and |alpha|^2 overflow, so
+        # the likelihood ratios turn NaN
         cfg = write_config(tmp_path / "cfg.yaml",
                            init={"method": "perturbation", "means": [[1.0e160], [-0.1]]})
         assert main(["run", str(cfg)]) == EXIT_DEGENERATE
         assert "degenerate" in capsys.readouterr().err
+
+    def test_underflowed_lr_runs(self, tmp_path, capsys):
+        # draws near 40 get lr = exp(-800) = 0, a zero weight, not an error
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           init={"method": "perturbation", "means": [[40.0], [-0.1]]},
+                           ce={"pilot_size": 2000, "iterations": 3},
+                           sampling={"n": 20000, "seed": 1},
+                           output={"path": str(tmp_path / "out.csv")})
+        assert main(["run", str(cfg)]) == 0
+        row = (tmp_path / "out.csv").read_text().splitlines()[1].split(",")
+        estimate, se = float(row[3]), float(row[4])
+        truth = normal_cdf(-1.0) + normal_cdf(-1.5)  # 0.2254625
+        assert abs(estimate - truth) <= 4 * se
+
+    def test_model_section_not_mapping_config_exit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", model="two_sided_tail")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "'model' must be a mapping" in capsys.readouterr().err
+
+    def test_init_section_not_mapping_config_exit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", init="approx")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "'init' must be a mapping" in capsys.readouterr().err
+
+    def test_ce_section_not_mapping_config_exit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml", ce=5)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "'ce' must be a mapping" in capsys.readouterr().err
 
     def test_rho_out_of_range_config_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml",

@@ -281,6 +281,17 @@ class TestEvaluatePilot:
         np.testing.assert_array_equal(ev.lr, likelihood_ratio(theta, batch.x))
         np.testing.assert_array_equal(ev.posteriors, posterior(theta, batch.x))
 
+    def test_lr_range(self):
+        # an underflowed lr of 0 is a zero weight; a negative or non-finite
+        # one is a degenerate pilot
+        ev = PilotEvaluation(x=np.zeros((2, 1)), payoff=np.ones(2),
+                             lr=np.array([0.0, 1.0]), posteriors=np.ones((2, 1)))
+        assert mixture_update(ev, MixtureParam.single([0.0])).weights[0] == 1.0
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(DegenerateUpdate):
+                PilotEvaluation(x=np.zeros((2, 1)), payoff=np.ones(2),
+                                lr=np.array([bad, 1.0]), posteriors=np.ones((2, 1)))
+
     def test_rejects_negative_payoff(self):
         with pytest.raises(ValueError):
             PilotEvaluation(x=np.zeros((1, 1)), payoff=np.array([-1.0]),

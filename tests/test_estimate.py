@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cemix.errors import UnequalSampleSize
-from cemix.estimate import EstimateReport, is_estimate, plain_mc_estimate, variance_ratio
+from cemix.estimate import (
+    EstimateReport,
+    chunk_moments,
+    is_estimate,
+    merge_moments,
+    plain_mc_estimate,
+    variance_ratio,
+)
 from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
 from cemix.models import TwoSidedTail
 from cemix.numerics import normal_cdf
@@ -149,6 +158,33 @@ class TestIsEstimate:
         report = is_estimate(model, theta, 100_000, RngStream(9))
         assert not report.lr_concentrated
         assert report.min_lr < 1.0 < report.max_lr
+
+
+class TestMergeMoments:
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_split_merges_to_two_pass(self, values, data):
+        vals = np.array(values)
+        n = vals.size
+        cuts = [] if n == 1 else sorted(
+            data.draw(st.sets(st.integers(1, n - 1), max_size=12)))
+        merged = (0, 0.0, 0.0)
+        for chunk in np.split(vals, cuts):
+            merged = merge_moments(merged, chunk_moments(chunk))
+        mean = math.fsum(values) / n
+        m2 = math.fsum((v - mean) ** 2 for v in values)
+        # beyond rtol 1e-12, allow for the rounding of the means: a chunk
+        # sum errs by up to log2(n) ulp of max|v| and each merge adds one;
+        # a mean error e moves M2 by up to n * (2 * spread + e) * e, which
+        # shows only when M2 << n * max|v|^2.  Subnormal means and squares
+        # round in absolute steps of `step`.
+        step = np.finfo(float).smallest_subnormal
+        ulp = np.finfo(float).eps * np.abs(vals).max()
+        err = (math.log2(n) + len(cuts) + 2) * ulp + step
+        spread = vals.max() - vals.min()
+        assert merged[0] == n
+        assert abs(merged[1] - mean) <= 1e-12 * abs(mean) + err
+        assert abs(merged[2] - m2) <= 1e-12 * m2 + n * ((2 * spread + err) * err + step)
 
 
 class TestVarianceRatio:

@@ -107,6 +107,15 @@ class TestPosterior:
         p = posterior(theta, [[10.0]])
         assert p[0, 1] > 1.0 - 1e-8
 
+    def test_far_point_rows_normalized(self):
+        # |x|^2 of the far point overflows; its tilts alpha_j.x do not
+        rng = np.random.default_rng(12)
+        theta = random_theta(rng, 16, 4)
+        x = np.vstack([rng.standard_normal((20, 4)), [[1e155, 0.0, 0.0, 0.0]]])
+        p = posterior(theta, x)
+        assert not np.any(np.isnan(p))
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_rows_normalized(self, m, d, seed):
@@ -134,6 +143,23 @@ class TestLikelihoodRatio:
         theta = MixtureParam.single([0.0, 0.0])
         x = np.random.default_rng(2).standard_normal((50, 2))
         np.testing.assert_allclose(likelihood_ratio(theta, x), 1.0, rtol=1e-12)
+
+    def test_identity_tilt_exact(self):
+        # all tilts are exactly 0, so plain MC weighs every draw by 1.0
+        for d in (1, 4, 100):
+            theta = MixtureParam.single(np.zeros(d))
+            x = 30.0 * np.random.default_rng(d).standard_normal((50, d))
+            np.testing.assert_array_equal(likelihood_ratio(theta, x), 1.0)
+
+    def test_high_dimension_closed_form(self):
+        # m=1: lr(x) = exp(|alpha|^2/2 - alpha.x); at d=100 far from the
+        # origin |x|^2 is ~1e4, and forming it costs ~1e-12 of accuracy
+        d = 100
+        alpha = np.full(d, 0.3)
+        x = alpha + np.random.default_rng(13).standard_normal((200, d)) + 10.0
+        expect = np.exp(0.5 * alpha @ alpha - x @ alpha)
+        np.testing.assert_allclose(likelihood_ratio(MixtureParam.single(alpha), x),
+                                   expect, rtol=1e-14)
 
     def test_single_tilt_closed_form(self):
         # m=1: lr(x) = exp(alpha^2/2 - alpha*x)
