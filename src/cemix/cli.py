@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
 
+from .engine import CeConfig
 from .errors import CemixError, ConfigError, DegenerateUpdate, StagnantRarity
 from .experiments import (
     CSV_HEADER,
     ExperimentConfig,
     list_models,
+    reject_unknown,
     reproduce_table,
     run_experiment,
 )
@@ -31,15 +34,11 @@ EXIT_DEGENERATE = 3
 EXIT_STAGNANT = 4
 
 
-# (YAML section, key, ExperimentConfig field, type)
-_CONFIG_KEYS = (
-    ("ce", "pilot_size", "pilot_size", int),
-    ("ce", "iterations", "iterations", int),
-    ("ce", "weight_floor", "weight_floor", float),
-    ("sampling", "n", "n_final", int),
-    ("sampling", "seed", "seed", int),
-    ("output", "path", "output", str),
-)
+# YAML section -> {key: ExperimentConfig field}; "ce" holds CeConfig's fields
+_SECTIONS = {"ce": {f.name: f.name for f in fields(CeConfig)},
+             "sampling": {"n": "n_final", "seed": "seed"},
+             "output": {"path": "output"}}
+_TOP_KEYS = ("model", "init", "label", *_SECTIONS)
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -57,14 +56,18 @@ def load_config(path: str) -> ExperimentConfig:
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict) or "model" not in raw or "init" not in raw:
         raise ConfigError("config needs at least 'model' and 'init' sections")
+    reject_unknown(raw, _TOP_KEYS, "top-level key")
     model = dict(_section(raw, "model"))
     try:
         name = model.pop("name")
     except KeyError:
         raise ConfigError("model section needs a 'name'") from None
     # keys the file leaves out keep ExperimentConfig's defaults
-    given = {field: cast(values[key]) for section, key, field, cast in _CONFIG_KEYS
-             if key in (values := _section(raw, section))}
+    given = {}
+    for section, keys in _SECTIONS.items():
+        values = _section(raw, section)
+        reject_unknown(values, keys, f"'{section}' key")
+        given.update((keys[key], value) for key, value in values.items())
     return ExperimentConfig(model=name, model_params=model,
                             init=dict(_section(raw, "init")),
                             label=str(raw.get("label", name)), **given)

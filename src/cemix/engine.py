@@ -7,7 +7,7 @@ posterior, giving closed-form weight and mean updates per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,11 +49,16 @@ class PilotEvaluation:
 
 
 @dataclass
-class CeConfig:
+class PilotConfig:
+    """Pilot sample size N, shared by the CE iterations and the rarity stages."""
+
     pilot_size: int = 10000
+
+
+@dataclass
+class CeConfig(PilotConfig):
     iterations: int = 5
     weight_floor: float = DEFAULT_WEIGHT_FLOOR
-    degenerate_threshold: int = 10  # min positive-payoff samples before warning
 
 
 @dataclass
@@ -62,7 +67,6 @@ class IterationRecord:
     theta: MixtureParam
     objective: float
     positive_payoffs: int
-    warnings: list = field(default_factory=list)
 
 
 def evaluate_pilot(payoff_fn, theta: MixtureParam, batch: SampleBatch) -> PilotEvaluation:
@@ -131,16 +135,10 @@ def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
             theta = mixture_update(ev, theta, cfg.weight_floor)
         except DegenerateUpdate as exc:
             raise DegenerateUpdate(str(exc), iteration=it) from exc
-        warnings = []
-        positive = int(np.count_nonzero(ev.payoff > 0))
-        if positive < cfg.degenerate_threshold:
-            warnings.append(
-                f"only {positive} positive-payoff pilot samples; estimate unreliable")
         trace.append(IterationRecord(
             iteration=it,
             theta=theta,
             objective=surrogate_objective(ev, theta),
-            positive_payoffs=positive,
-            warnings=warnings,
+            positive_payoffs=int(np.count_nonzero(ev.payoff > 0)),
         ))
     return theta, trace

@@ -6,7 +6,8 @@ a single configuration into one result row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .engine import CeConfig, run_ce
 from .errors import ConfigError
 from .estimate import is_estimate, plain_mc_estimate, variance_ratio
 from .initialization import RarityConfig, init_approx, init_perturbation, init_rarity_ce
-from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, min_tilt_distance
+from .mixture import MixtureParam, min_tilt_distance
 from .models import (
     AsianCall,
     CevDigital,
@@ -25,30 +26,43 @@ from .models import (
 )
 from .rng import RngStream
 
-MODEL_REGISTRY = {
-    "two_sided_tail": TwoSidedTail,
-    "asian_call": AsianCall,
-    "rainbow": RainbowOption,
-    "pyramid": PyramidOption,
-    "cev_digital": CevDigital,
-}
+MODEL_REGISTRY = {cls.name: cls for cls in
+                  (TwoSidedTail, AsianCall, RainbowOption, PyramidOption, CevDigital)}
 
 # final tilt vectors closer than this mark a collapsed mixture
 COLLAPSE_DISTANCE = 0.1
+
+# a CE pilot with fewer positive payoffs than this flags low_positive_pilot
+LOW_POSITIVE_PILOT = 10
 
 CSV_HEADER = ("table,row,K_or_ab,estimate,std_error,rel_error,var_ratio,"
               "weights,tilts,flags")
 
 
-@dataclass
-class ExperimentConfig:
+def reject_unknown(names, allowed, what: str):
+    """Raise ConfigError naming the first of `names` not in `allowed`."""
+    for name in names:
+        if name not in allowed:
+            raise ConfigError(f"unknown {what} {name!r}; expected one of {', '.join(allowed)}")
+
+
+def _whole_number(name: str, value) -> int:
+    """value as an int; a float must be integral (YAML writes 10^6 as 1.0e6)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return value
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig(CeConfig):
+    """One result row's settings: CeConfig's run settings plus the problem."""
+
     model: str
     model_params: dict
     init: dict                       # {"method": ..., plus strategy params}
-    pilot_size: int = 10000
-    iterations: int = 5
     n_final: int = 100000
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR
     seed: int = 0
     output: str = ""
     label: str = ""
@@ -56,11 +70,25 @@ class ExperimentConfig:
     row: int = 0
 
     def __post_init__(self):
-        if self.model not in MODEL_REGISTRY:
-            raise ConfigError(f"unknown model {self.model!r}")
-        for count in (self.pilot_size, self.iterations, self.n_final):
-            if count < 1:
-                raise ConfigError("counts must be >= 1")
+        reject_unknown([self.model], MODEL_REGISTRY, "model")
+        for name in ("pilot_size", "iterations", "n_final", "seed"):
+            setattr(self, name, _whole_number(name, getattr(self, name)))
+        if min(self.pilot_size, self.iterations) < 1 or self.n_final < 2:
+            raise ConfigError("need pilot_size >= 1, iterations >= 1 and sample size n >= 2")
+        for name, kind, noun in (("weight_floor", numbers.Real, "number"),
+                                 ("output", str, "string")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {noun}, got {value!r}")
+        reject_unknown(self.init, ("method", "means", "m", "base", "scale", "rho",
+                                   "max_stages"), "init key")
+        self.init = {**self.init, **{k: _whole_number(f"init {k}", self.init[k])
+                                     for k in ("m", "max_stages") if k in self.init}}
+        if "means" in self.init:
+            try:
+                MixtureParam.uniform(self.init["means"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"init means: {exc}") from None
         method = self.init.get("method")
         require_init(MODEL_REGISTRY[self.model], method)
         if method == "rarity_ce":
@@ -69,9 +97,8 @@ class ExperimentConfig:
     def rarity_config(self) -> RarityConfig:
         """Stage parameters of a rarity_ce init; keys the init dict leaves
         out keep RarityConfig's defaults."""
-        keys = ("rho", "max_stages", "adapt_weights")
         return RarityConfig(pilot_size=self.pilot_size,
-                            **{k: self.init[k] for k in keys if k in self.init})
+                            **{k: self.init[k] for k in ("rho", "max_stages") if k in self.init})
 
 
 @dataclass
@@ -104,7 +131,13 @@ class ResultRow:
 
 
 def build_model(cfg: ExperimentConfig):
-    return MODEL_REGISTRY[cfg.model](**cfg.model_params)
+    """The configured model; list_models names the parameters it takes."""
+    cls = MODEL_REGISTRY[cfg.model]
+    reject_unknown(cfg.model_params, [f.name for f in fields(cls)], f"{cfg.model} parameter")
+    try:
+        return cls(**cfg.model_params)
+    except TypeError as exc:  # a missing parameter, or one of the wrong type
+        raise ConfigError(f"{cfg.model}: {exc}") from None
 
 
 def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):
@@ -135,9 +168,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     model = build_model(cfg)
     stream = RngStream(cfg.seed)
     theta0, init_stages = _initial_mixture(model, cfg, stream)
-    ce_cfg = CeConfig(pilot_size=cfg.pilot_size, iterations=cfg.iterations,
-                      weight_floor=cfg.weight_floor)
-    theta, trace = run_ce(model, theta0, ce_cfg, stream)
+    theta, trace = run_ce(model, theta0, cfg, stream)
     report = is_estimate(model, theta, cfg.n_final, stream.child(phase="final_is"))
     baseline = plain_mc_estimate(model, cfg.n_final, stream.child(phase="baseline"))
     flags = []
@@ -145,7 +176,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
         flags.append("collapse")
     if report.lr_concentrated:
         flags.append("lr_concentration")
-    if any(rec.warnings for rec in trace):
+    if any(rec.positive_payoffs < LOW_POSITIVE_PILOT for rec in trace):
         flags.append("low_positive_pilot")
     return ResultRow(
         table=cfg.table, row=cfg.row, label=cfg.label,
@@ -190,12 +221,11 @@ CEV = dict(s0=50.0, h0=48.0, sigma1=0.3, sigma2=0.35, gamma1=0.5, gamma2=0.7,
 TWO_SIDED_START = [[0.0], [-0.1]]
 
 
-def two_sided_config(a, b, init, seed, *, n_final=1_000_000, table=0, row=0,
-                     label="") -> ExperimentConfig:
+def two_sided_config(a, b, init, seed, *, n_final=1_000_000, table=0, row=0) -> ExperimentConfig:
     return ExperimentConfig(
         model="two_sided_tail", model_params=dict(a=a, b=b), init=init,
-        pilot_size=20000, iterations=5, n_final=n_final, seed=seed,
-        table=table, row=row, label=label or f"a={a} b={b}")
+        pilot_size=20000, n_final=n_final, seed=seed,
+        table=table, row=row, label=f"a={a} b={b}")
 
 
 def table_configs(table_id: int, seed: int = 0) -> list:
@@ -261,10 +291,9 @@ def list_models() -> list:
     """Catalog of models, their parameter names, and supported inits."""
     catalog = []
     for name, cls in MODEL_REGISTRY.items():
-        params = [f for f in cls.__dataclass_fields__]
         catalog.append({
             "name": name,
-            "parameters": params,
+            "parameters": [f.name for f in fields(cls)],
             "init_methods": list(cls.inits),
         })
     return catalog

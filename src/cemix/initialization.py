@@ -3,11 +3,12 @@ rarity-parameter scheme, and analytical approximation."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import evaluate_pilot, mixture_update
+from .engine import PilotConfig, evaluate_pilot, mixture_update
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
 from .mixture import MixtureParam, min_tilt_distance, sample_mixture
 from .models import require_init
@@ -15,8 +16,8 @@ from .numerics import order_statistic
 from .rng import RngStream
 
 
-@dataclass
-class RarityConfig:
+@dataclass(kw_only=True)
+class RarityConfig(PilotConfig):
     """Stage parameters for the rarity-parameter initializer.
 
     rho should be small but keep the per-component sample threshold
@@ -24,13 +25,10 @@ class RarityConfig:
     """
 
     rho: float = 0.05
-    pilot_size: int = 10000
     max_stages: int = 50
-    adapt_weights: bool = False
-    min_weight: float = 0.05  # only used when adapt_weights is on
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
+        if not (isinstance(self.rho, numbers.Real) and 0.0 < self.rho < 1.0):
             raise ConfigError("rho must lie in (0, 1)")
 
     def n0(self, m: int) -> int:
@@ -94,8 +92,7 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     n0 samples per component; update means with the delta-scaled payoff}
     until delta >= 1 componentwise.  A sample is in a component's set when
     its rarity level (model.rarity_levels) reaches that component's delta.
-    Weights stay fixed at 1/m unless cfg.adapt_weights is set.  Returns
-    (theta, stage trace); the terminal
+    Weights stay fixed at 1/m.  Returns (theta, stage trace); the terminal
     theta is the starting parameter for the main CE run.  Stage s draws its
     pilot from the init stream at iteration stream.iteration + s, so the
     stages occupy iterations [stream.iteration, stream.iteration +
@@ -115,13 +112,7 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
         clamped = (new_delta == delta) & (stage > 0)
         ev = evaluate_pilot(lambda x: model.rarity_payoff(new_delta, x), theta, batch)
         counts = (levels >= new_delta).sum(axis=0)
-        updated = mixture_update(ev, theta, weight_floor=cfg.min_weight / m)
-        if cfg.adapt_weights:
-            weights = np.maximum(updated.weights, cfg.min_weight)
-            weights /= weights.sum()
-            theta = MixtureParam(weights, updated.means)
-        else:
-            theta = MixtureParam.uniform(updated.means)
+        theta = MixtureParam.uniform(mixture_update(ev, theta).means)
         delta = new_delta
         trace.append(RarityStageRecord(
             stage=stage + 1, delta=delta.copy(), theta=theta,

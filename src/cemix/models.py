@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable
+from .errors import ApproxUnavailable, ConfigError
 from .mixture import _as_batch
 from .numerics import bisect_root, cholesky
 
@@ -32,18 +32,12 @@ class TwoSidedTail:
 
     name = "two_sided_tail"
     inits = ("perturbation", "rarity_ce", "approx")
+    dim = 1
+    default_components = 2
 
     def __post_init__(self):
         if not self.b < 0 < self.a:
             raise ConfigError("need b < 0 < a")
-
-    @property
-    def dim(self):
-        return 1
-
-    @property
-    def default_components(self):
-        return 2
 
     def payoff(self, x):
         x = _as_batch(x, 1)[:, 0]
@@ -80,6 +74,7 @@ class AsianCall:
 
     name = "asian_call"
     inits = ("perturbation", "approx")
+    default_components = 1
 
     def __post_init__(self):
         if self.times is None:
@@ -93,10 +88,6 @@ class AsianCall:
     @property
     def dim(self):
         return self.n_dates
-
-    @property
-    def default_components(self):
-        return 1
 
     def _prices(self, x):
         x = _as_batch(x, self.n_dates)
@@ -281,6 +272,7 @@ class CevDigital:
 
     name = "cev_digital"
     inits = ("approx",)
+    default_components = 2
 
     def __post_init__(self):
         if not (0.5 <= self.gamma1 <= 1.0 and 0.5 <= self.gamma2 <= 1.0):
@@ -293,10 +285,6 @@ class CevDigital:
     @property
     def dim(self):
         return 2 * self.n_steps
-
-    @property
-    def default_components(self):
-        return 2
 
     def paths(self, x):
         """Terminal (S_T, H_T) for each innovation row."""
@@ -354,9 +342,3 @@ def require_init(model, method: str, error=ConfigError):
     inits."""
     if method not in getattr(model, "inits", ()):
         raise error(f"{model.name} does not support init method {method!r}")
-
-
-def rarity_embedding(model, delta, x):
-    """delta-scaled payoff V_delta; recovers V at delta = 1."""
-    require_init(model, "rarity_ce", EmbeddingUnavailable)
-    return model.rarity_payoff(np.asarray(delta, dtype=float), x)

@@ -49,16 +49,10 @@ class RngStream:
                 raise ConfigError(
                     f"{name} must lie in [0, 2**{bits}), got {getattr(self, name)}")
 
-    def child(self, *, phase=None, iteration=None, counter=None) -> "RngStream":
-        """Derive a stream with some coordinates replaced."""
-        kwargs = {}
-        if phase is not None:
-            kwargs["phase"] = phase
-        if iteration is not None:
-            kwargs["iteration"] = iteration
-        if counter is not None:
-            kwargs["counter"] = counter
-        return replace(self, **kwargs)
+    def child(self, **coords) -> "RngStream":
+        """Derive a stream with the named coordinates (phase, iteration,
+        counter) replaced."""
+        return replace(self, **coords)
 
     def _key(self) -> int:
         # 128-bit Philox key: seed in the high 64 bits, then phase,

@@ -8,6 +8,7 @@ from cemix.experiments import (
     CSV_HEADER,
     MODEL_REGISTRY,
     ExperimentConfig,
+    build_model,
     list_models,
     run_experiment,
     table_configs,
@@ -110,6 +111,19 @@ class TestExperiments:
                 except ConfigError:
                     accepted = False
                 assert accepted == (method in catalog[name]), (name, method)
+        # build_model takes every parameter the catalog lists and no other name
+        parameters = {entry["name"]: entry["parameters"] for entry in list_models()}
+        given = {cfg.model: dict(cfg.model_params)
+                 for table in (2, 4, 6, 8, 9) for cfg in table_configs(table)[:1]}
+        given["asian_call"]["times"] = None
+        assert set(given) == set(MODEL_REGISTRY)
+        for name, params in given.items():
+            assert sorted(params) == sorted(parameters[name]), name
+            cfg = ExperimentConfig(model=name, model_params=params, init={"method": "approx"})
+            assert build_model(cfg).name == name
+            cfg.model_params = {**params, "not_a_parameter": 1.0}
+            with pytest.raises(ConfigError, match="not_a_parameter"):
+                build_model(cfg)
 
 
 class TestLoadConfig:
@@ -131,6 +145,12 @@ class TestLoadConfig:
         }))
         cfg = load_config(str(path))
         assert cfg.pilot_size == 10000 and cfg.n_final == 100000 and cfg.seed == 0
+
+    def test_integral_float_count(self, tmp_path):
+        # YAML writes 10^4 as 1.0e4, a float
+        cfg = load_config(str(write_config(tmp_path / "cfg.yaml",
+                                           ce={"pilot_size": 1.0e4, "iterations": 3})))
+        assert cfg.pilot_size == 10000 and isinstance(cfg.pilot_size, int)
 
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -220,6 +240,29 @@ class TestCliMain:
                                  "rho": 1.5})
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert "rho" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"ce": {"pilot_size": "many"}}, "pilot_size"),
+        ({"ce": {"pilot_size": 2.7}}, "pilot_size"),
+        ({"sampling": {"n": 1}}, "n >= 2"),
+        ({"pilot_size": 50}, "pilot_size"),
+        ({"ce": {"pilotsize": 50}}, "pilotsize"),
+        ({"sampling": {"n": 20000, "sed": 7}}, "sed"),
+        ({"init": {"method": "rarity_ce", "means": [[0.0], [-0.1]], "rh0": 0.9}}, "rh0"),
+        ({"init": {"method": "rarity_ce", "means": [[0.0], [-0.1]],
+                   "adapt_weights": True}}, "adapt_weights"),
+        ({"model": {"name": "two_sided_tail", "a": 1.0, "b": -1.5, "c": 3}}, "'c'"),
+        ({"model": {"name": "two_sided_tail", "a": 1.0}}, "'b'"),
+        ({"init": {"method": "perturbation", "means": [[0.0], [float("nan")]]}}, "finite"),
+    ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
+            "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
+            "adapt_weights_removed", "unknown_model_param", "missing_model_param",
+            "non_finite_means"])
+    def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
+        cfg = write_config(tmp_path / "cfg.yaml", **overrides)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
 
     def test_stagnant_exit(self, tmp_path, capsys):
         cfg = write_config(

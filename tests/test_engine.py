@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cemix import experiments
 from cemix.engine import (
     CeConfig,
     PilotEvaluation,
@@ -13,6 +14,7 @@ from cemix.engine import (
     surrogate_objective,
 )
 from cemix.errors import DegenerateUpdate
+from cemix.experiments import ExperimentConfig, run_experiment
 from cemix.mixture import MixtureParam, likelihood_ratio, posterior, sample_mixture
 from cemix.models import TwoSidedTail
 from cemix.rng import RngStream
@@ -252,13 +254,18 @@ class TestRunCe:
             run_ce(model, theta0, CeConfig(pilot_size=100, iterations=3), RngStream(11))
         assert exc_info.value.iteration == 1
 
-    def test_low_positive_warning_recorded(self):
-        model = TwoSidedTail(a=3.5, b=-3.5)
-        theta0 = MixtureParam.uniform([[3.5], [-3.5]])
-        _, trace = run_ce(model, theta0,
-                          CeConfig(pilot_size=2000, iterations=1,
-                                   degenerate_threshold=2001), RngStream(12))
-        assert trace[0].warnings
+    def test_low_positive_warning_recorded(self, monkeypatch):
+        # about half of this pilot is positive: flagged only when the
+        # threshold exceeds the pilot size
+        cfg = ExperimentConfig(
+            model="two_sided_tail", model_params=dict(a=3.5, b=-3.5),
+            init={"method": "perturbation", "means": [[3.5], [-3.5]]},
+            pilot_size=2000, iterations=1, n_final=2000, seed=12)
+        row = run_experiment(cfg)
+        assert 10 <= row.trace[0].positive_payoffs < 2000
+        assert "low_positive_pilot" not in row.flags
+        monkeypatch.setattr(experiments, "LOW_POSITIVE_PILOT", 2001)
+        assert "low_positive_pilot" in run_experiment(cfg).flags
 
 
 class TestEvaluatePilot:

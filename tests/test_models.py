@@ -5,14 +5,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cemix.errors import ConfigError, DimensionMismatch, EmbeddingUnavailable
-from cemix.initialization import rarity_delta
+from cemix.initialization import RarityConfig, init_rarity_ce, rarity_delta
+from cemix.mixture import MixtureParam
 from cemix.models import (
     AsianCall,
     CevDigital,
     PyramidOption,
     RainbowOption,
     TwoSidedTail,
-    rarity_embedding,
 )
 from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
@@ -67,7 +67,7 @@ class TestRarityDeltas:
     def test_rarity_payoff_recovers_indicator_at_one(self):
         model = TwoSidedTail(a=1.5, b=-2.0)
         x = RngStream(2).normals(10_000, 1)
-        np.testing.assert_array_equal(rarity_embedding(model, [1.0, 1.0], x),
+        np.testing.assert_array_equal(model.rarity_payoff(np.array([1.0, 1.0]), x),
                                       model.payoff(x))
 
     def test_sample_setting_delta_is_member(self):
@@ -97,14 +97,15 @@ class TestRarityDeltas:
     def test_rarity_payoff_monotone_in_delta(self):
         model = TwoSidedTail(a=1.5, b=-2.0)
         x = RngStream(3).normals(10_000, 1)
-        easy = rarity_embedding(model, [0.3, 0.3], x)
-        hard = rarity_embedding(model, [0.9, 0.9], x)
+        easy = model.rarity_payoff(np.array([0.3, 0.3]), x)
+        hard = model.rarity_payoff(np.array([0.9, 0.9]), x)
         assert np.all(easy >= hard)
 
     def test_embedding_unavailable(self):
         model = AsianCall(s0=50, r=0.05, sigma=0.3, maturity=1.0, n_dates=4, strike=50)
         with pytest.raises(EmbeddingUnavailable):
-            rarity_embedding(model, [1.0], np.zeros((1, 4)))
+            init_rarity_ce(model, RarityConfig(), MixtureParam.single(np.zeros(4)),
+                           RngStream(6, phase="init"))
 
 
 class TestAsianCall:
