@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -23,6 +22,7 @@ from .errors import CemixError, ConfigError, DegenerateUpdate, StagnantRarity
 from .experiments import (
     CSV_HEADER,
     ExperimentConfig,
+    field_types,
     list_models,
     reject_unknown,
     reproduce_table,
@@ -35,7 +35,7 @@ EXIT_STAGNANT = 4
 
 
 # YAML section -> {key: ExperimentConfig field}; "ce" holds CeConfig's fields
-_SECTIONS = {"ce": {f.name: f.name for f in fields(CeConfig)},
+_SECTIONS = {"ce": {name: name for name in field_types(CeConfig)},
              "sampling": {"n": "n_final", "seed": "seed"},
              "output": {"path": "output"}}
 _TOP_KEYS = ("model", "init", "label", *_SECTIONS)
@@ -73,15 +73,13 @@ def load_config(path: str) -> ExperimentConfig:
                             label=str(raw.get("label", name)), **given)
 
 
-def _echo_config(cfg: ExperimentConfig, out):
+def _echo_config(cfg: ExperimentConfig):
     print(f"# model={cfg.model} params={cfg.model_params} init={cfg.init} "
           f"pilot={cfg.pilot_size} iterations={cfg.iterations} "
-          f"n={cfg.n_final} weight_floor={cfg.weight_floor} seed={cfg.seed}",
-          file=out)
+          f"n={cfg.n_final} weight_floor={cfg.weight_floor} seed={cfg.seed}")
 
 
-def _print_rows(rows, out=None):
-    out = out or sys.stdout
+def _print_rows(rows):
     cols = ["table", "row", "K_or_ab", "estimate", "std_error", "rel_error",
             "var_ratio", "flags"]
     cells = [[str(r.table), str(r.row), r.label, f"{r.estimate:.6g}",
@@ -89,9 +87,9 @@ def _print_rows(rows, out=None):
               "|".join(r.flags) or "-"] for r in rows]
     widths = [max(len(c), *(len(row[i]) for row in cells))
               for i, c in enumerate(cols)]
-    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)), file=out)
+    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def _write_csv(rows, path):
@@ -101,7 +99,7 @@ def _write_csv(rows, path):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    _echo_config(cfg, sys.stdout)
+    _echo_config(cfg)
     row = run_experiment(cfg)
     _print_rows([row])
     out_path = args.output or cfg.output
@@ -113,7 +111,7 @@ def cmd_run(args) -> int:
 def cmd_table(args) -> int:
     rows = reproduce_table(args.table_id, seed=args.seed)
     for row in rows:
-        _echo_config(row.config, sys.stdout)
+        _echo_config(row.config)
     _print_rows(rows)
     if args.output:
         _write_csv(rows, args.output)
@@ -145,8 +143,7 @@ def main(argv=None) -> int:
     p_table.add_argument("--output", default=None, help="CSV output path")
     p_table.set_defaults(fn=cmd_table)
 
-    p_models = sub.add_parser("models", help="list models and init strategies")
-    p_models.set_defaults(fn=cmd_models)
+    sub.add_parser("models", help="list models and init strategies").set_defaults(fn=cmd_models)
 
     args = parser.parse_args(argv)
     try:

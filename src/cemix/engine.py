@@ -7,11 +7,11 @@ posterior, giving closed-form weight and mean updates per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateUpdate
+from .errors import ConfigError, DegenerateUpdate
 from .mixture import (
     DEFAULT_WEIGHT_FLOOR,
     MixtureParam,
@@ -43,10 +43,6 @@ class PilotEvaluation:
         if not np.all(np.isfinite(self.lr) & (self.lr >= 0)):
             raise DegenerateUpdate("likelihood ratios must be finite and nonnegative")
 
-    @property
-    def m(self) -> int:
-        return self.posteriors.shape[1]
-
 
 @dataclass
 class PilotConfig:
@@ -59,6 +55,12 @@ class PilotConfig:
 class CeConfig(PilotConfig):
     iterations: int = 5
     weight_floor: float = DEFAULT_WEIGHT_FLOOR
+
+    def __post_init__(self):
+        if min(self.pilot_size, self.iterations) < 1:
+            raise ConfigError("need pilot_size >= 1 and iterations >= 1")
+        if not 0.0 <= self.weight_floor < 1.0:
+            raise ConfigError(f"weight_floor must lie in [0, 1), got {self.weight_floor}")
 
 
 @dataclass
@@ -74,13 +76,6 @@ def evaluate_pilot(payoff_fn, theta: MixtureParam, batch: SampleBatch) -> PilotE
     lr, posteriors = lr_and_posterior(theta, batch.x)
     return PilotEvaluation(x=batch.x, payoff=np.asarray(payoff_fn(batch.x), dtype=float),
                            lr=lr, posteriors=posteriors)
-
-
-def basic_update(ev: PilotEvaluation) -> np.ndarray:
-    """Single-component update: the V*lr-weighted sample mean, i.e. the
-    m = 1 case of mixture_update."""
-    one = replace(ev, posteriors=np.ones((ev.x.shape[0], 1)))
-    return mixture_update(one, MixtureParam.single(np.zeros(ev.x.shape[1]))).means[0]
 
 
 def mixture_update(ev: PilotEvaluation, theta_prev: MixtureParam,

@@ -88,11 +88,9 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
     )
 
 
-def plain_mc_estimate(model, n: int, stream: RngStream,
-                      chunk_size: int = _CHUNK) -> EstimateReport:
+def plain_mc_estimate(model, n: int, stream: RngStream) -> EstimateReport:
     """Plain Monte Carlo under N(0, I_d); the identity tilt of is_estimate."""
-    theta = MixtureParam.single(np.zeros(model.dim))
-    return is_estimate(model, theta, n, stream, chunk_size=chunk_size)
+    return is_estimate(model, MixtureParam.single(np.zeros(model.dim)), n, stream)
 
 
 def variance_ratio(plain: EstimateReport, ce: EstimateReport) -> float:

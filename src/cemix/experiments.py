@@ -6,8 +6,12 @@ a single configuration into one result row.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,6 +42,9 @@ LOW_POSITIVE_PILOT = 10
 CSV_HEADER = ("table,row,K_or_ab,estimate,std_error,rel_error,var_ratio,"
               "weights,tilts,flags")
 
+_KIND_NOUNS = {int: "a whole number", float: "a finite number",
+               np.ndarray: "a finite numeric array", str: "a string", dict: "a mapping"}
+
 
 def reject_unknown(names, allowed, what: str):
     """Raise ConfigError naming the first of `names` not in `allowed`."""
@@ -46,13 +53,66 @@ def reject_unknown(names, allowed, what: str):
             raise ConfigError(f"unknown {what} {name!r}; expected one of {', '.join(allowed)}")
 
 
-def _whole_number(name: str, value) -> int:
-    """value as an int; a float must be integral (YAML writes 10^6 as 1.0e6)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return value
+@functools.cache
+def field_types(cls) -> dict:
+    """{field: annotation} of the constructor fields of dataclass cls (cached: do not mutate)."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+def coerce(name: str, annotation, value):
+    """value read as `annotation`, the type of the config field `name`: int a
+    whole number (YAML's 1.0e4 too), float a finite real, np.ndarray a finite
+    numeric array or scalar, str and dict by isinstance.  A bool or a string
+    is never a number; None passes where the annotation is `X | None`."""
+    kind, *rest = get_args(annotation) or (annotation,)
+    if value is None and type(None) in rest:
+        return None
+    if kind in (str, dict) and isinstance(value, kind):
+        return value
+    if kind is np.ndarray:
+        with contextlib.suppress(ValueError):  # a ragged list
+            array = np.asarray(value)
+            if array.dtype.kind in "iuf" and np.all(np.isfinite(array)):
+                return array.astype(float)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if kind is int and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            return int(value)
+        if kind is float and abs(value) <= sys.float_info.max:  # finite, even as an int
+            return float(value)
+    raise ConfigError(f"{name} must be {_KIND_NOUNS[kind]}, got {value!r}")
+
+
+def from_config(cls, values: dict, what: str, **given):
+    """cls(**values, **given), each of the values read through coerce as the
+    field it fills; an unknown or a missing name raises ConfigError."""
+    kinds = field_types(cls)
+    reject_unknown(values, [name for name in kinds if name not in given], what)
+    values = {k: coerce(f"{what} {k!r}", kinds[k], v) for k, v in values.items()}
+    try:
+        return cls(**values, **given)
+    except TypeError as exc:  # a missing field
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+@dataclass(kw_only=True)
+class InitConfig(RarityConfig):
+    """The init: section; rarity_ce reads the RarityConfig fields."""
+
+    method: str
+    means: np.ndarray | None = None  # starting tilts; drawn when None
+    m: int | None = None             # drawn component count; None: the model's
+    base: np.ndarray = 0.0
+    scale: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.ndim(self.means) > 2:
+            raise ConfigError("init means must have one row per component")
+        if self.m is not None and self.m < 1:
+            raise ConfigError(f"init m must be >= 1, got {self.m}")
+        if self.scale < 0:
+            raise ConfigError(f"init scale must be >= 0, got {self.scale}")
 
 
 @dataclass(kw_only=True)
@@ -61,44 +121,26 @@ class ExperimentConfig(CeConfig):
 
     model: str
     model_params: dict
-    init: dict                       # {"method": ..., plus strategy params}
+    init: dict                       # the init: section, read as init_config
     n_final: int = 100000
     seed: int = 0
     output: str = ""
     label: str = ""
     table: int = 0
     row: int = 0
+    init_config: InitConfig = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, kind in field_types(ExperimentConfig).items():
+            setattr(self, name, coerce(name, kind, getattr(self, name)))
+        super().__post_init__()
         reject_unknown([self.model], MODEL_REGISTRY, "model")
-        for name in ("pilot_size", "iterations", "n_final", "seed"):
-            setattr(self, name, _whole_number(name, getattr(self, name)))
-        if min(self.pilot_size, self.iterations) < 1 or self.n_final < 2:
-            raise ConfigError("need pilot_size >= 1, iterations >= 1 and sample size n >= 2")
-        for name, kind, noun in (("weight_floor", numbers.Real, "number"),
-                                 ("output", str, "string")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{name} must be a {noun}, got {value!r}")
-        reject_unknown(self.init, ("method", "means", "m", "base", "scale", "rho",
-                                   "max_stages"), "init key")
-        self.init = {**self.init, **{k: _whole_number(f"init {k}", self.init[k])
-                                     for k in ("m", "max_stages") if k in self.init}}
-        if "means" in self.init:
-            try:
-                MixtureParam.uniform(self.init["means"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"init means: {exc}") from None
-        method = self.init.get("method")
-        require_init(MODEL_REGISTRY[self.model], method)
-        if method == "rarity_ce":
-            self.rarity_config()  # RarityConfig checks rho
-
-    def rarity_config(self) -> RarityConfig:
-        """Stage parameters of a rarity_ce init; keys the init dict leaves
-        out keep RarityConfig's defaults."""
-        return RarityConfig(pilot_size=self.pilot_size,
-                            **{k: self.init[k] for k in ("rho", "max_stages") if k in self.init})
+        if self.n_final < 2:
+            raise ConfigError("need sample size n >= 2")
+        # rarity stages draw pilots of the ce: section's size
+        self.init_config = from_config(InitConfig, self.init, "init key",
+                                       pilot_size=self.pilot_size)
+        require_init(MODEL_REGISTRY[self.model], self.init_config.method)
 
 
 @dataclass
@@ -132,34 +174,22 @@ class ResultRow:
 
 def build_model(cfg: ExperimentConfig):
     """The configured model; list_models names the parameters it takes."""
-    cls = MODEL_REGISTRY[cfg.model]
-    reject_unknown(cfg.model_params, [f.name for f in fields(cls)], f"{cfg.model} parameter")
-    try:
-        return cls(**cfg.model_params)
-    except TypeError as exc:  # a missing parameter, or one of the wrong type
-        raise ConfigError(f"{cfg.model}: {exc}") from None
+    return from_config(MODEL_REGISTRY[cfg.model], cfg.model_params, f"{cfg.model} parameter")
 
 
 def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):
     """Resolve the configured init strategy to (theta0, stage count)."""
-    init = cfg.init
-    method = init["method"]
-    if method == "approx":
+    init = cfg.init_config
+    if init.method == "approx":
         return init_approx(model), 0
-    if "means" in init:
-        start = MixtureParam.uniform(np.asarray(init["means"], dtype=float))
+    if init.means is not None:
+        start = MixtureParam.uniform(init.means)
     else:
-        start = init_perturbation(
-            init.get("m", model.default_components),
-            init.get("base", 0.0),
-            init.get("scale", 0.1),
-            stream.child(phase="init", iteration=0),
-            dim=model.dim,
-        )
-    if method == "perturbation":
+        start = init_perturbation(init.m or model.default_components, init.base, init.scale,
+                                  stream.child(phase="init", iteration=0), dim=model.dim)
+    if init.method == "perturbation":
         return start, 0
-    theta, trace = init_rarity_ce(
-        model, cfg.rarity_config(), start, stream.child(phase="init", iteration=1))
+    theta, trace = init_rarity_ce(model, init, start, stream.child(phase="init", iteration=1))
     return theta, len(trace)
 
 
@@ -217,6 +247,12 @@ ASIAN = dict(s0=50.0, r=0.05, sigma=0.3, maturity=1.0, n_dates=30)
 CEV = dict(s0=50.0, h0=48.0, sigma1=0.3, sigma2=0.35, gamma1=0.5, gamma2=0.7,
            rho=0.3, r=0.03, maturity=1.0, c1=1.0, c2=1.0, n_steps=50)
 
+# tables whose rows differ only in the strike, each with the approx init
+STRIKE_TABLES = {4: ("asian_call", ASIAN, (50, 60, 70, 80, 90)),
+                 7: ("pyramid", PYRAMID_2, (10, 20, 30, 40, 50)),
+                 8: ("pyramid", PYRAMID_4, (20, 30, 40, 50, 60)),
+                 9: ("cev_digital", CEV, (50, 55, 60, 65, 70))}
+
 # benchmark starting tilts for the scalar tail problem
 TWO_SIDED_START = [[0.0], [-0.1]]
 
@@ -244,12 +280,6 @@ def table_configs(table_id: int, seed: int = 0) -> list:
         for i, (a, b) in enumerate(TWO_SIDED_CASES):
             rows.append(two_sided_config(a, b, dict(init), seed * 100 + i,
                                          table=table_id, row=i))
-    elif table_id == 4:
-        for i, strike in enumerate((50, 60, 70, 80, 90)):
-            rows.append(ExperimentConfig(
-                model="asian_call", model_params=dict(strike=float(strike), **ASIAN),
-                init={"method": "approx"}, seed=seed * 100 + i,
-                table=4, row=i, label=f"K={strike}"))
     elif table_id in (5, 6):
         params = RAINBOW_2 if table_id == 5 else RAINBOW_4
         iterations = 5 if table_id == 5 else 10
@@ -263,20 +293,13 @@ def table_configs(table_id: int, seed: int = 0) -> list:
                     init=dict(init), iterations=iterations, seed=seed * 100 + row,
                     table=table_id, row=row, label=f"K={strike}/{method}"))
                 row += 1
-    elif table_id in (7, 8):
-        params = PYRAMID_2 if table_id == 7 else PYRAMID_4
-        strikes = (10, 20, 30, 40, 50) if table_id == 7 else (20, 30, 40, 50, 60)
+    elif table_id in STRIKE_TABLES:
+        model, params, strikes = STRIKE_TABLES[table_id]
         for i, strike in enumerate(strikes):
             rows.append(ExperimentConfig(
-                model="pyramid", model_params=dict(strike=float(strike), **params),
+                model=model, model_params=dict(strike=float(strike), **params),
                 init={"method": "approx"}, seed=seed * 100 + i,
                 table=table_id, row=i, label=f"K={strike}"))
-    elif table_id == 9:
-        for i, strike in enumerate((50, 55, 60, 65, 70)):
-            rows.append(ExperimentConfig(
-                model="cev_digital", model_params=dict(strike=float(strike), **CEV),
-                init={"method": "approx"}, seed=seed * 100 + i,
-                table=9, row=i, label=f"K={strike}"))
     else:
         raise ConfigError(f"table id must be 1..9, got {table_id}")
     return rows
@@ -289,11 +312,5 @@ def reproduce_table(table_id: int, seed: int = 0) -> list:
 
 def list_models() -> list:
     """Catalog of models, their parameter names, and supported inits."""
-    catalog = []
-    for name, cls in MODEL_REGISTRY.items():
-        catalog.append({
-            "name": name,
-            "parameters": [f.name for f in fields(cls)],
-            "init_methods": list(cls.inits),
-        })
-    return catalog
+    return [{"name": name, "parameters": list(field_types(cls)), "init_methods": list(cls.inits)}
+            for name, cls in MODEL_REGISTRY.items()]

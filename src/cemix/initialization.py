@@ -3,7 +3,6 @@ rarity-parameter scheme, and analytical approximation."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ class RarityConfig(PilotConfig):
     max_stages: int = 50
 
     def __post_init__(self):
-        if not (isinstance(self.rho, numbers.Real) and 0.0 < self.rho < 1.0):
+        if not 0.0 < self.rho < 1.0:
             raise ConfigError("rho must lie in (0, 1)")
 
     def n0(self, m: int) -> int:

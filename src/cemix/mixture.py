@@ -69,10 +69,6 @@ class MixtureParam:
         m = means.shape[0]
         return cls(np.full(m, 1.0 / m), means)
 
-    def permuted(self, perm) -> "MixtureParam":
-        perm = np.asarray(perm)
-        return MixtureParam(self.weights[perm], self.means[perm])
-
 
 def min_tilt_distance(means) -> float:
     """Smallest Euclidean distance between two rows of an (m, d) tilt array;
@@ -93,10 +89,6 @@ class SampleBatch:
     x: np.ndarray              # (n, d)
     labels: np.ndarray = None  # (n,) int or None
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
 
 def _as_batch(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -105,14 +97,6 @@ def _as_batch(x, dim: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != dim:
         raise DimensionMismatch(f"expected points of dimension {dim}, got shape {x.shape}")
     return x
-
-
-def log_component_density(alpha, x) -> np.ndarray:
-    """log phi_d(x - alpha) for each row of x."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    x = _as_batch(x, alpha.size)
-    diff = x - alpha
-    return -0.5 * np.einsum("nd,nd->n", diff, diff) - 0.5 * alpha.size * LOG_2PI
 
 
 def _tilts(theta: MixtureParam, x) -> np.ndarray:

@@ -70,7 +70,7 @@ class AsianCall:
     maturity: float
     n_dates: int
     strike: float
-    times: np.ndarray = None  # monitoring dates; default uniform i*T/d
+    times: np.ndarray | None = None  # monitoring dates; default uniform i*T/d
 
     name = "asian_call"
     inits = ("perturbation", "approx")
@@ -80,9 +80,9 @@ class AsianCall:
         if self.times is None:
             self.times = self.maturity * np.arange(1, self.n_dates + 1) / self.n_dates
         self.times = np.asarray(self.times, dtype=float)
-        if self.times.size != self.n_dates or np.any(np.diff(self.times) <= 0) \
-                or self.times[0] <= 0:
-            raise ConfigError("monitoring dates must be increasing and positive")
+        if self.n_dates < 1 or self.times.size != self.n_dates \
+                or np.any(np.diff(self.times) <= 0) or self.times[0] <= 0:
+            raise ConfigError("need n_dates >= 1 monitoring dates, increasing and positive")
         self._sqdt = np.sqrt(np.diff(self.times, prepend=0.0))
 
     @property
@@ -123,10 +123,17 @@ class CorrelatedGbm:
     fields; their __post_init__ calls _init_gbm.
     """
 
-    def _init_gbm(self):
+    def _init_gbm(self, *per_asset):
+        """Float arrays: sigmas and per_asset shaped like s0, corr (d, d)."""
         self.s0 = np.asarray(self.s0, dtype=float)
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
+        for name in ("sigmas", *per_asset):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != self.s0.shape:
+                raise ConfigError(f"{name} has shape {value.shape}, s0 has {self.s0.shape}")
+            setattr(self, name, value)
         self.corr = np.asarray(self.corr, dtype=float)
+        if self.corr.shape != (self.dim, self.dim):
+            raise ConfigError(f"corr must be {self.dim}x{self.dim}, got shape {self.corr.shape}")
         if not np.allclose(np.diag(self.corr), 1.0):
             raise ConfigError("correlation matrix must have unit diagonal")
         self.chol = cholesky(self.corr)
@@ -211,8 +218,7 @@ class PyramidOption(CorrelatedGbm):
     inits = ("perturbation", "approx")
 
     def __post_init__(self):
-        self._init_gbm()
-        self.asset_strikes = np.asarray(self.asset_strikes, dtype=float)
+        self._init_gbm("asset_strikes")
         if self.dim > MAX_PYRAMID_ASSETS:
             raise ConfigError(
                 f"pyramid model capped at {MAX_PYRAMID_ASSETS} assets (2^d components)")

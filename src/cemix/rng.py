@@ -8,9 +8,9 @@ independent and a batch can be partitioned across
 workers by handing chunk i the counter value i; the result is identical
 for any worker count.
 
-Normal variates are produced by inverse-CDF of the uniform stream rather
-than ziggurat/Box-Muller so that sample i always consumes draws
-[i*d, (i+1)*d) of the stream, keeping per-sample indexing exact.
+Normal variates (mixture.sample_mixture) are inverse-CDF images of the
+uniform stream rather than ziggurat/Box-Muller draws, so that sample i
+always consumes draws [i*d, (i+1)*d) of the stream.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError
 
@@ -69,9 +68,3 @@ class RngStream:
         u = self.generator().random(shape)
         # keep strictly inside (0,1) for downstream inverse-CDF use
         return np.maximum(u, _U_MIN, out=u)
-
-    def normals(self, n: int, d: int) -> np.ndarray:
-        """(n, d) array of iid N(0,1) draws via inverse CDF."""
-        if n < 1 or d < 1:
-            raise ValueError("n and d must be >= 1")
-        return ndtri(self.uniforms((n, d)))

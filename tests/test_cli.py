@@ -5,10 +5,15 @@ import yaml
 from cemix.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_STAGNANT, load_config, main
 from cemix.errors import ConfigError
 from cemix.experiments import (
+    ASIAN,
+    CEV,
     CSV_HEADER,
+    PYRAMID_2,
+    RAINBOW_2,
     MODEL_REGISTRY,
     ExperimentConfig,
     build_model,
+    coerce,
     list_models,
     run_experiment,
     table_configs,
@@ -27,6 +32,13 @@ def write_config(path, **overrides):
     raw.update(overrides)
     path.write_text(yaml.safe_dump(raw))
     return path
+
+
+# model sections with two assets, from the benchmark tables
+RAINBOW_YAML = {"name": "rainbow", **RAINBOW_2, "strike": 60.0}
+PYRAMID_YAML = {"name": "pyramid", **PYRAMID_2, "strike": 20.0}
+ASIAN_YAML = {"name": "asian_call", **ASIAN, "strike": 60.0}
+CEV_YAML = {"name": "cev_digital", **CEV, "strike": 60.0}
 
 
 class TestExperiments:
@@ -124,6 +136,44 @@ class TestExperiments:
             cfg.model_params = {**params, "not_a_parameter": 1.0}
             with pytest.raises(ConfigError, match="not_a_parameter"):
                 build_model(cfg)
+            # and reads each of them through its annotation
+            for param in parameters[name]:
+                cfg.model_params = {**params, param: "x"}
+                with pytest.raises(ConfigError, match=f"parameter '{param}'"):
+                    build_model(cfg)
+
+
+class TestCoerce:
+    def test_whole_number(self):
+        assert coerce("n", int, 1.0e4) == 10000 and type(coerce("n", int, 1.0e4)) is int
+        assert type(coerce("n", int, np.int64(3))) is int
+        for bad in (2.5, True, "3", float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="n must be a whole number"):
+                coerce("n", int, bad)
+
+    def test_finite_real(self):
+        assert coerce("r", float, 3) == 3.0 and type(coerce("r", float, 3)) is float
+        for bad in (False, "0.5", float("nan"), -float("inf"), 10**400, None):
+            with pytest.raises(ConfigError, match="r must be a finite number"):
+                coerce("r", float, bad)
+
+    def test_array(self):
+        np.testing.assert_array_equal(coerce("s0", np.ndarray, [1, 2.5]), [1.0, 2.5])
+        assert coerce("s0", np.ndarray, 4).shape == ()
+        for bad in ([[1.0, 2.0], [3.0]], ["1", "2"], "1.5", [True, False], [1.0, float("nan")],
+                    [1.0, None]):
+            with pytest.raises(ConfigError, match="s0 must be a finite numeric array"):
+                coerce("s0", np.ndarray, bad)
+
+    def test_optional_str_and_dict(self):
+        assert coerce("times", np.ndarray | None, None) is None
+        with pytest.raises(ConfigError):
+            coerce("times", np.ndarray, None)
+        assert coerce("label", str, "K=50") == "K=50"
+        with pytest.raises(ConfigError, match="label must be a string"):
+            coerce("label", str, 50)
+        with pytest.raises(ConfigError, match="init must be a mapping"):
+            coerce("init", dict, [("method", "approx")])
 
 
 class TestLoadConfig:
@@ -254,10 +304,28 @@ class TestCliMain:
         ({"model": {"name": "two_sided_tail", "a": 1.0, "b": -1.5, "c": 3}}, "'c'"),
         ({"model": {"name": "two_sided_tail", "a": 1.0}}, "'b'"),
         ({"init": {"method": "perturbation", "means": [[0.0], [float("nan")]]}}, "finite"),
+        ({"init": {"method": "perturbation", "base": "x"}}, "'base'"),
+        ({"init": {"method": "perturbation", "scale": "x"}}, "'scale'"),
+        ({"model": {**RAINBOW_YAML, "strike": "x"}, "init": {"method": "rarity_ce"}},
+         "'strike'"),
+        ({"ce": {"pilot_size": 5000, "iterations": 3, "weight_floor": -1.0}}, "weight_floor"),
+        ({"model": {**CEV_YAML, "n_steps": 2.5}, "init": {"method": "approx"}}, "'n_steps'"),
+        ({"init": {"method": "perturbation", "m": 0}}, "m must be >= 1"),
+        ({"model": {**ASIAN_YAML, "n_dates": 0}, "init": {"method": "approx"}}, "n_dates"),
+        ({"model": {**RAINBOW_YAML, "sigmas": [0.1, 0.15, 0.2]}, "init": {"method": "approx"}},
+         "sigmas"),
+        ({"model": {**RAINBOW_YAML, "corr": np.eye(3).tolist()}, "init": {"method": "approx"}},
+         "corr"),
+        ({"model": {**PYRAMID_YAML, "asset_strikes": [55.0]}, "init": {"method": "approx"}},
+         "asset_strikes"),
+        ({"init": {"method": "approx", "rho": 1.5}}, "rho"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
-            "non_finite_means"])
+            "non_finite_means", "init_base_not_number", "init_scale_not_number",
+            "model_param_not_number", "negative_weight_floor", "count_param_not_whole",
+            "init_m_zero", "asian_no_dates", "rainbow_sigmas_shape", "rainbow_corr_shape",
+            "pyramid_asset_strikes_shape", "rho_out_of_range_approx"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG

@@ -7,7 +7,6 @@ from cemix import experiments
 from cemix.engine import (
     CeConfig,
     PilotEvaluation,
-    basic_update,
     evaluate_pilot,
     mixture_update,
     run_ce,
@@ -18,6 +17,7 @@ from cemix.experiments import ExperimentConfig, run_experiment
 from cemix.mixture import MixtureParam, likelihood_ratio, posterior, sample_mixture
 from cemix.models import TwoSidedTail
 from cemix.rng import RngStream
+from oracles import basic_update, normals, permuted
 
 
 def make_eval(x, payoff, lr=None, theta=None):
@@ -61,7 +61,7 @@ class TestBasicUpdate:
     def test_exponential_payoff_tilts_toward_c(self):
         # V = e^{c x} under f gives weighted mean -> c as n grows
         c, n = 1.5, 400_000
-        x = RngStream(1).normals(n, 1)
+        x = normals(RngStream(1), n, 1)
         v = np.exp(c * x[:, 0])
         ev = make_eval(x, v)
         w = v / v.sum()
@@ -74,9 +74,10 @@ def fsum_update(ev, theta_prev, weight_floor):
     """Reference update: one compensated sum per component and coordinate."""
     w = ev.payoff * ev.lr
     denom = math.fsum(w)
-    weights = np.empty(ev.m)
+    m = ev.posteriors.shape[1]
+    weights = np.empty(m)
     means = np.array(theta_prev.means, copy=True)
-    for j in range(ev.m):
+    for j in range(m):
         wj = w * ev.posteriors[:, j]
         mass = math.fsum(wj)
         weights[j] = mass / denom
@@ -143,7 +144,7 @@ class TestMixtureUpdate:
         ev_p = PilotEvaluation(x=ev.x, payoff=ev.payoff, lr=ev.lr,
                                posteriors=ev.posteriors[:, perm])
         a = mixture_update(ev, theta)
-        b = mixture_update(ev_p, theta.permuted(perm))
+        b = mixture_update(ev_p, permuted(theta, perm))
         np.testing.assert_allclose(b.weights, a.weights[perm], rtol=1e-12)
         np.testing.assert_allclose(b.means, a.means[perm], rtol=1e-12)
 
@@ -153,7 +154,7 @@ class TestMixtureUpdate:
             ev, theta = random_eval(rng)
             got = mixture_update(ev, theta, weight_floor=1e-3)
             assert abs(got.weights.sum() - 1.0) <= 1e-12
-            assert np.all(got.weights >= 1e-3 / (1.0 + 1e-3 * ev.m))
+            assert np.all(got.weights >= 1e-3 / (1.0 + 1e-3 * theta.m))
 
     def test_means_in_sample_hull(self):
         rng = np.random.default_rng(5)

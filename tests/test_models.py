@@ -16,6 +16,7 @@ from cemix.models import (
 )
 from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
+from oracles import normals
 
 
 class TestTwoSidedTail:
@@ -30,7 +31,7 @@ class TestTwoSidedTail:
 
     def test_mean_matches_cdf_oracle(self):
         model = TwoSidedTail(a=2.0, b=-2.5)
-        x = RngStream(1).normals(1_000_000, 1)
+        x = normals(RngStream(1), 1_000_000, 1)
         truth = normal_cdf(-2.0) + normal_cdf(-2.5)
         se = math.sqrt(truth * (1 - truth) / 1_000_000)
         assert abs(model.payoff(x).mean() - truth) <= 4 * se
@@ -66,7 +67,7 @@ class TestRarityDeltas:
 
     def test_rarity_payoff_recovers_indicator_at_one(self):
         model = TwoSidedTail(a=1.5, b=-2.0)
-        x = RngStream(2).normals(10_000, 1)
+        x = normals(RngStream(2), 10_000, 1)
         np.testing.assert_array_equal(model.rarity_payoff(np.array([1.0, 1.0]), x),
                                       model.payoff(x))
 
@@ -96,7 +97,7 @@ class TestRarityDeltas:
 
     def test_rarity_payoff_monotone_in_delta(self):
         model = TwoSidedTail(a=1.5, b=-2.0)
-        x = RngStream(3).normals(10_000, 1)
+        x = normals(RngStream(3), 10_000, 1)
         easy = model.rarity_payoff(np.array([0.3, 0.3]), x)
         hard = model.rarity_payoff(np.array([0.9, 0.9]), x)
         assert np.all(easy >= hard)
@@ -130,7 +131,7 @@ class TestAsianCall:
 
     def test_payoff_monotone_in_inputs(self):
         model = self.make()
-        x = RngStream(4).normals(100, 30)
+        x = normals(RngStream(4), 100, 30)
         assert np.all(model.payoff(x + 0.5) >= model.payoff(x))
 
     def test_approx_tilt_solves_mean_price_equation(self):
@@ -194,7 +195,7 @@ class TestRainbowOption:
 
     def test_membership_matches_prices(self):
         model = self.make2()
-        x = RngStream(5).normals(1000, 2)
+        x = normals(RngStream(5), 1000, 2)
         member = model.rarity_levels(x) >= np.array([0.8, 0.8])
         prices = model.terminal_prices(x)
         np.testing.assert_array_equal(member, prices > 0.8 * 60.0)
@@ -266,7 +267,7 @@ class TestCevDigital:
         assert abs(h_t[0] - 48.0 * grow) <= 1e-12
 
     def test_trivial_strikes(self):
-        x = RngStream(6).normals(200, 100)
+        x = normals(RngStream(6), 200, 100)
         assert np.all(self.make(strike=0.0).payoff(x) == 1.0)
         assert np.all(self.make(strike=1e9).payoff(x) == 0.0)
 
