@@ -174,7 +174,13 @@ class ResultRow:
 
 def build_model(cfg: ExperimentConfig):
     """The configured model; list_models names the parameters it takes."""
-    return from_config(MODEL_REGISTRY[cfg.model], cfg.model_params, f"{cfg.model} parameter")
+    model = from_config(MODEL_REGISTRY[cfg.model], cfg.model_params, f"{cfg.model} parameter")
+    means, base = cfg.init_config.means, cfg.init_config.base
+    if means is not None and np.atleast_2d(means).shape[1] != model.dim:
+        raise ConfigError(f"init means must have {model.dim} columns, got shape {np.shape(means)}")
+    if np.size(base) not in (1, model.dim):
+        raise ConfigError(f"init base must be a scalar or {model.dim} wide, got {np.shape(base)}")
+    return model
 
 
 def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):

@@ -27,8 +27,9 @@ class RarityConfig(PilotConfig):
     max_stages: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError("rho must lie in (0, 1)")
+        if not (0.0 < self.rho < 1.0 and self.max_stages >= 1):
+            raise ConfigError(f"need rho in (0, 1) and max_stages >= 1, got "
+                              f"rho={self.rho}, max_stages={self.max_stages}")
 
     def n0(self, m: int) -> int:
         n0 = int(self.pilot_size * self.rho / m)

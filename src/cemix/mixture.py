@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch
+from .numerics import _for_blocks
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -22,9 +23,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # component ever becomes unrecoverable
 DEFAULT_WEIGHT_FLOOR = 1e-4
 
-# the sampler adds component means this many rows at a time, so the gathered
-# means never take more than a (_SHIFT_ROWS, d) temporary
-_SHIFT_ROWS = 4096
+# the sampler's row blocks take about this many stream words each; a block
+# bounds the gathered-means temporary and moves no result
+_BLOCK_WORDS = 2 ** 16
 
 
 @dataclass
@@ -155,17 +156,25 @@ def posterior(theta: MixtureParam, x) -> np.ndarray:
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
     """n iid draws from h_theta.
 
-    The stream's first n uniforms pick the component labels; the next n*d
-    build the vectors by inverse-CDF normals, d per sample.  Parallel
-    chunking hands chunk k the stream with counter offset k.
+    Words [0, n) of the stream pick the component labels (not drawn when
+    m = 1); words n + [i*d, (i+1)*d) give sample i by inverse-CDF normals.
+    Row blocks are drawn on the thread pool, each from its own words.
+    Parallel chunking hands chunk k the stream with counter offset k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = stream.uniforms(n * (theta.dim + 1))
-    labels = np.minimum(np.searchsorted(np.cumsum(theta.weights), u[:n]), theta.m - 1)
-    x = u[n:].reshape(n, theta.dim)
-    ndtri(x, out=x)  # in place: a (n, d) batch is the largest array of a run
-    for start in range(0, n, _SHIFT_ROWS):
-        rows = slice(start, start + _SHIFT_ROWS)
-        x[rows] += theta.means[labels[rows]]
+    d, means = theta.dim, theta.means
+    cum = np.cumsum(theta.weights) if theta.m > 1 else None
+    u = np.empty(n * (d + 1))
+    labels = np.zeros(n, dtype=np.intp)
+    x = u[n:].reshape(n, d)
+    def draw(lo, hi):
+        if cum is not None:
+            stream._fill(u[lo:hi], lo)
+            np.minimum(np.searchsorted(cum, u[lo:hi]), cum.size - 1, out=labels[lo:hi])
+        block = u[n + lo * d:n + hi * d]
+        stream._fill(block, n + lo * d)
+        ndtri(block, out=block)  # in place: a (n, d) batch is the largest array of a run
+        x[lo:hi] += means[labels[lo:hi]]
+    _for_blocks(draw, n, max(1, _BLOCK_WORDS // (d + 1)))
     return SampleBatch(x=x, labels=labels)

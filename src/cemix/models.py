@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import ApproxUnavailable, ConfigError
 from .mixture import _as_batch
-from .numerics import bisect_root, cholesky
+from .numerics import _for_blocks, bisect_root, cholesky
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
 
@@ -279,6 +279,7 @@ class CevDigital:
     name = "cev_digital"
     inits = ("approx",)
     default_components = 2
+    _EULER_ROWS = 8192  # rows per Euler block: cache-sized, yet amortises GIL hand-offs
 
     def __post_init__(self):
         if not (0.5 <= self.gamma1 <= 1.0 and 0.5 <= self.gamma2 <= 1.0):
@@ -295,6 +296,12 @@ class CevDigital:
     def paths(self, x):
         """Terminal (S_T, H_T) for each innovation row."""
         x = _as_batch(x, self.dim)
+        out = np.empty((2, x.shape[0]))
+        _for_blocks(lambda lo, hi: self._euler(x[lo:hi], out[:, lo:hi]), len(x), self._EULER_ROWS)
+        return out[0], out[1]
+
+    def _euler(self, x, out):
+        """Euler loop over the rows of x, writing (S_T, H_T) into out."""
         z = x[:, 0::2]
         resid = x[:, 1::2]
         dt = self.maturity / self.n_steps
@@ -311,7 +318,8 @@ class CevDigital:
             xs = np.maximum(xs + cx * dw, 0.0)
             ys = np.maximum(ys + cy * db, 0.0)
         grow = np.exp(self.r * self.maturity)
-        return grow * xs, grow * ys
+        np.multiply(grow, xs, out=out[0])
+        np.multiply(grow, ys, out=out[1])
 
     def payoff(self, x):
         # undiscounted hit probability of the better asset reaching K

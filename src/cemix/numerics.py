@@ -3,12 +3,25 @@ finding, and the normal CDF oracle."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import NoBracket, NotPositiveDefinite, RankOutOfRange
+
+# blocks write disjoint slices of one output: no result depends on the size
+_POOL = ThreadPoolExecutor(os.cpu_count() or 1)
+
+
+def _for_blocks(fn: Callable[[int, int], None], n: int, size: int):
+    """fn(start, stop) for each size-row block of range(n) on the pool, inline for one
+    block.  fn calls no public cemix callable: perfbench's tracer has one span stack."""
+    if n <= size:
+        return fn(0, n)
+    list(_POOL.map(lambda start: fn(start, min(start + size, n)), range(0, n, size)))
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:

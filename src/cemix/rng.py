@@ -4,13 +4,13 @@ Every stream is addressed by (seed, phase, iteration, counter), with seed
 in [0, 2**64), iteration in [0, 2**28) and counter in [0, 2**32); other
 values raise ConfigError.  The four coordinates key a Philox generator
 injectively, so streams with distinct coordinates are statistically
-independent and a batch can be partitioned across
-workers by handing chunk i the counter value i; the result is identical
-for any worker count.
+independent.  Philox reaches any word of a stream directly (`_fill`), so
+a batch is split by word offset within its stream, and its blocks give
+the words of one serial draw on any number of threads.
 
 Normal variates (mixture.sample_mixture) are inverse-CDF images of the
 uniform stream rather than ziggurat/Box-Muller draws, so that sample i
-always consumes draws [i*d, (i+1)*d) of the stream.
+always consumes a fixed range of words of the stream.
 """
 
 from __future__ import annotations
@@ -63,8 +63,11 @@ class RngStream:
         """Fresh generator keyed by this stream's coordinates."""
         return np.random.Generator(np.random.Philox(key=self._key()))
 
-    def uniforms(self, shape) -> np.ndarray:
-        """Uniform(0,1] draws; consumes one 64-bit word per value."""
-        u = self.generator().random(shape)
+    def _fill(self, out: np.ndarray, start: int) -> np.ndarray:
+        """Write the uniforms of words [start, start + out.size) into the 1-d out."""
+        bits = np.random.Philox(key=self._key())
+        bits.advance(start // 4)    # a Philox counter step yields 4 words
+        bits.random_raw(start % 4)
+        np.random.Generator(bits).random(out=out)
         # keep strictly inside (0,1) for downstream inverse-CDF use
-        return np.maximum(u, _U_MIN, out=u)
+        return np.maximum(out, _U_MIN, out=out)

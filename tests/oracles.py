@@ -13,11 +13,19 @@ from cemix.errors import DegenerateUpdate
 from cemix.mixture import MixtureParam
 
 
+def uniforms(stream, size) -> np.ndarray:
+    """The stream's first words as uniforms, from one serial Philox draw,
+    kept off 0 as the package keeps them."""
+    gen = np.random.Generator(np.random.Philox(key=stream._key()))
+    return np.maximum(gen.random(size), 2.0 ** -53)
+
+
 def normals(stream, n: int, d: int) -> np.ndarray:
-    """(n, d) array of iid N(0,1) draws: inverse CDF of the stream's uniforms."""
+    """(n, d) array of iid N(0,1) draws: inverse CDF of the stream's block
+    draw of its first n*d words."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    return ndtri(stream.uniforms((n, d)))
+    return ndtri(stream._fill(np.empty(n * d), 0)).reshape(n, d)
 
 
 def log_component_density(alpha, x) -> np.ndarray:
@@ -40,3 +48,31 @@ def basic_update(ev) -> np.ndarray:
     if not w.sum() > 0:
         raise DegenerateUpdate("payoff-weighted mass is not positive")
     return (w @ ev.x) / w.sum()
+
+
+def serial_sample(theta: MixtureParam, n: int, stream):
+    """(x, labels) of sample_mixture from one serial draw of the stream's
+    n*(d+1) words: labels from the first n, normals from the rest."""
+    u = uniforms(stream, n * (theta.dim + 1))
+    labels = np.minimum(np.searchsorted(np.cumsum(theta.weights), u[:n]), theta.m - 1)
+    return ndtri(u[n:]).reshape(n, theta.dim) + theta.means[labels], labels
+
+
+def cev_paths(model, x):
+    """Terminal (S_T, H_T) of CevDigital by one Euler loop over the whole
+    batch, with numpy's scalar exp and sqrt as in the model."""
+    z, resid = x[:, 0::2], x[:, 1::2]
+    dt = model.maturity / model.n_steps
+    sqdt, root = np.sqrt(dt), np.sqrt(1.0 - model.rho ** 2)
+    xs = np.full(x.shape[0], float(model.s0))
+    ys = np.full(x.shape[0], float(model.h0))
+    for i in range(model.n_steps):
+        t = i * dt
+        dw = sqdt * z[:, i]
+        db = sqdt * (model.rho * z[:, i] + root * resid[:, i])
+        xs = np.maximum(xs + model.sigma1 * np.exp(-model.r * (1.0 - model.gamma1) * t)
+                        * xs ** model.gamma1 * dw, 0.0)
+        ys = np.maximum(ys + model.sigma2 * np.exp(-model.r * (1.0 - model.gamma2) * t)
+                        * ys ** model.gamma2 * db, 0.0)
+    grow = np.exp(model.r * model.maturity)
+    return grow * xs, grow * ys

@@ -1,7 +1,12 @@
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import yaml
 
+from cemix import numerics
 from cemix.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_STAGNANT, load_config, main
 from cemix.errors import ConfigError
 from cemix.experiments import (
@@ -55,21 +60,55 @@ class TestExperiments:
 
     def test_ini_ce_row_stream_keys_distinct(self, monkeypatch):
         # the perturbation draw and every rarity stage pilot need their own
-        # stream; so does every later pilot and chunk of the row
-        keys = []
-        generator = RngStream.generator
+        # stream; so does every later pilot and chunk of the row.  Batches
+        # are drawn in word blocks, so a stream's words must not overlap
+        draws = []  # (phase, key, start, size); size None: a whole generator
+        streams = set()
+        generator, fill = RngStream.generator, RngStream._fill
 
-        def spy(stream):
-            keys.append((stream.phase, stream._key()))
+        def spy_generator(stream):
+            streams.add(stream)
+            draws.append((stream.phase, stream._key(), 0, None))
             return generator(stream)
 
-        monkeypatch.setattr(RngStream, "generator", spy)
+        def spy_fill(stream, out, start):
+            streams.add(stream)
+            draws.append((stream.phase, stream._key(), start, out.size))
+            return fill(stream, out, start)
+
+        monkeypatch.setattr(RngStream, "generator", spy_generator)
+        monkeypatch.setattr(RngStream, "_fill", spy_fill)
         cfg = table_configs(5, seed=1)[0]
         assert cfg.init["method"] == "rarity_ce"
         row = run_experiment(cfg)
-        init_keys = [k for phase, k in keys if phase == "init"]
+        init_keys = {k for phase, k, _, _ in draws if phase == "init"}
         assert len(init_keys) == 1 + row.init_stages
-        assert len(set(k for _, k in keys)) == len(keys)
+        assert len({s._key() for s in streams}) == len(streams)
+        by_key = {}
+        for _, key, start, size in draws:
+            by_key.setdefault(key, []).append((start, math.inf if size is None else start + size))
+        for spans in by_key.values():
+            spans.sort()
+            assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+
+    def test_draws_do_not_depend_on_thread_count(self, monkeypatch):
+        # more workers than cores, switching often, must not move a result
+        cfgs = table_configs(2, seed=1) + table_configs(6, seed=1) + table_configs(9, seed=1)[:1]
+        rows = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 3):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(numerics, "_POOL", pool)
+                    rows[workers] = [run_experiment(cfg) for cfg in cfgs]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(rows[1], rows[3]):
+            assert (a.estimate, a.std_error, a.rel_error, a.var_ratio, a.flags, a.init_stages) \
+                == (b.estimate, b.std_error, b.rel_error, b.var_ratio, b.flags, b.init_stages)
+            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.tilts, b.tilts)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
@@ -319,13 +358,19 @@ class TestCliMain:
         ({"model": {**PYRAMID_YAML, "asset_strikes": [55.0]}, "init": {"method": "approx"}},
          "asset_strikes"),
         ({"init": {"method": "approx", "rho": 1.5}}, "rho"),
+        ({"init": {"method": "perturbation", "means": [[0.0, 1.0], [-0.1, 2.0]]}},
+         "init means"),
+        ({"init": {"method": "perturbation", "m": 2, "base": [0.0, 1.0]}}, "init base"),
+        ({"init": {"method": "rarity_ce", "means": [[0.0], [-0.1]], "max_stages": 0}},
+         "max_stages"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
             "non_finite_means", "init_base_not_number", "init_scale_not_number",
             "model_param_not_number", "negative_weight_floor", "count_param_not_whole",
             "init_m_zero", "asian_no_dates", "rainbow_sigmas_shape", "rainbow_corr_shape",
-            "pyramid_asset_strikes_shape", "rho_out_of_range_approx"])
+            "pyramid_asset_strikes_shape", "rho_out_of_range_approx", "init_means_width",
+            "init_base_width", "max_stages_zero"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG

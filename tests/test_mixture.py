@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from cemix.errors import DimensionMismatch
 from cemix.mixture import (
+    _BLOCK_WORDS,
     MixtureParam,
     likelihood_ratio,
     log_mixture_density,
@@ -16,7 +17,7 @@ from cemix.mixture import (
     sample_mixture,
 )
 from cemix.rng import RngStream
-from oracles import log_component_density, permuted
+from oracles import log_component_density, permuted, serial_sample, uniforms
 
 
 def random_theta(rng, m, d):
@@ -197,11 +198,24 @@ class TestSampleMixture:
         # labels take the first n uniforms, the normals the next n*d
         theta = MixtureParam([0.3, 0.7], [[1.0, 0.0, 2.0], [-1.0, 0.5, 0.0]])
         n, s = 50, RngStream(8, iteration=2)
-        u = s.uniforms(n * 4)
+        u = uniforms(s, n * 4)
         batch = sample_mixture(theta, n, s)
         np.testing.assert_array_equal(batch.labels, (u[:n] > 0.3).astype(int))
         np.testing.assert_array_equal(
             batch.x, ndtri(u[n:].reshape(n, 3)) + theta.means[batch.labels])
+
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_blocks_match_one_serial_draw(self, d, m):
+        # three full blocks and a ragged tail; at d = 3 block starts fall
+        # off the 4-word Philox counter steps
+        n = 3 * (_BLOCK_WORDS // (d + 1)) + 5
+        theta = random_theta(np.random.default_rng(d + m), m, d)
+        stream = RngStream(9, phase="final_is", iteration=2, counter=7)
+        batch = sample_mixture(theta, n, stream)
+        x, labels = serial_sample(theta, n, stream)
+        np.testing.assert_array_equal(batch.x, x)
+        np.testing.assert_array_equal(batch.labels, labels)
 
     def test_single_component_moments(self):
         n = 100_000

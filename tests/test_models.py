@@ -16,7 +16,7 @@ from cemix.models import (
 )
 from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
-from oracles import normals
+from oracles import cev_paths, normals
 
 
 class TestTwoSidedTail:
@@ -285,6 +285,13 @@ class TestCevDigital:
                 h = max(h + 0.35 * h * math.sqrt(dt) * x[i, 2 * k + 1], 0.0)
             assert abs(s_t[i] - s * math.exp(0.03)) <= 1e-12 * max(s, 1.0)
             assert abs(h_t[i] - h * math.exp(0.03)) <= 1e-12 * max(h, 1.0)
+
+    def test_row_blocks_match_whole_batch_loop(self):
+        # three full Euler blocks and a one-row tail, bit for bit
+        model = self.make()
+        x = normals(RngStream(8), 3 * CevDigital._EULER_ROWS + 1, 100)
+        for got, want in zip(model.paths(x), cev_paths(model, x)):
+            np.testing.assert_array_equal(got, want)
 
     def test_absorption_at_zero(self):
         model = self.make(n_steps=4)

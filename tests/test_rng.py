@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cemix.errors import ConfigError
 from cemix.rng import PHASES, RngStream
-from oracles import normals
+from oracles import normals, uniforms
 
 
 def test_determinism_bit_identical():
@@ -63,8 +63,16 @@ def test_bad_counts_rejected():
 
 
 def test_uniforms_open_interval():
-    u = RngStream(11).uniforms((1000,))
+    u = RngStream(11)._fill(np.empty(1000), 0)
     assert np.all((u > 0) & (u < 1))
+
+
+def test_block_draw_is_a_slice_of_one_draw():
+    s = RngStream(12, phase="baseline", counter=3)
+    u = uniforms(s, 64)
+    for start in range(9):
+        for size in (1, 3, 4, 7):
+            np.testing.assert_array_equal(s._fill(np.empty(size), start), u[start:start + size])
 
 
 @pytest.mark.parametrize("coords", [
@@ -83,7 +91,7 @@ def test_child_out_of_range_rejected():
 
 def test_extreme_in_range_coordinates_accepted():
     s = RngStream(2**64 - 1, phase="baseline", iteration=2**28 - 1, counter=2**32 - 1)
-    assert s.uniforms(3).shape == (3,)
+    assert s._fill(np.empty(3), 5).shape == (3,)
 
 
 in_range = st.tuples(st.integers(0, 2**64 - 1), st.sampled_from(PHASES),
