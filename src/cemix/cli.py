@@ -53,7 +53,10 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    raw = yaml.safe_load(Path(path).read_text())
+    try:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if not isinstance(raw, dict) or "model" not in raw or "init" not in raw:
         raise ConfigError("config needs at least 'model' and 'init' sections")
     reject_unknown(raw, _TOP_KEYS, "top-level key")
@@ -92,6 +95,12 @@ def _print_rows(rows):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
+def _check_output(path):
+    """Reject an output path that cannot take a file, before any row runs."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ConfigError(f"output path {path} is a directory or lies in a missing one")
+
+
 def _write_csv(rows, path):
     lines = [CSV_HEADER] + [r.csv_line() for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -99,16 +108,18 @@ def _write_csv(rows, path):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
+    out_path = args.output or cfg.output
+    _check_output(out_path)
     _echo_config(cfg)
     row = run_experiment(cfg)
     _print_rows([row])
-    out_path = args.output or cfg.output
     if out_path:
         _write_csv([row], out_path)
     return 0
 
 
 def cmd_table(args) -> int:
+    _check_output(args.output)
     rows = reproduce_table(args.table_id, seed=args.seed)
     for row in rows:
         _echo_config(row.config)

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnequalSampleSize
-from .mixture import MixtureParam, likelihood_ratio, sample_mixture
+from .errors import DimensionMismatch, UnequalSampleSize
+from .mixture import MixtureParam, _draw_rows, _lr
+from .numerics import _block_rows, _for_blocks
 from .rng import RngStream
 
 # a single likelihood ratio carrying more than this share of the total sum
@@ -56,21 +57,28 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
                 chunk_size: int = _CHUNK) -> EstimateReport:
     """Mean and standard error of V(X) * lr(X) over n draws from the mixture.
 
-    Sampling is chunked over the stream counter: chunk k draws from the
-    sub-stream with counter offset k, so a run is reproducible for a fixed
-    chunk size and chunks can be evaluated independently.  Each chunk is
-    reduced to its chunk_moments and the chunks are merged in chunk order
-    by merge_moments.
+    Chunk k takes the rows of sample_mixture(theta, c, stream with counter
+    offset k), so a run is reproducible for a fixed chunk size.  Each row block
+    of a chunk is drawn, priced by model._payoff and weighted on the thread
+    pool, with no (c, d) array.  The chunks' chunk_moments are merged in chunk
+    order by merge_moments.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
+    if model.dim != theta.dim:
+        raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta.dim}")
     moments = (0, 0.0, 0.0)
     min_lr, max_lr, max_val = np.inf, -np.inf, 0.0
     for k, start in enumerate(range(0, n, chunk_size)):
         c = min(chunk_size, n - start)
-        batch = sample_mixture(theta, c, stream.child(counter=stream.counter + k))
-        lr = likelihood_ratio(theta, batch.x)
-        vals = np.asarray(model.payoff(batch.x), dtype=float) * lr
+        sub = stream.child(counter=stream.counter + k)
+        lr, vals = np.empty(c), np.empty(c)
+        def block(lo, hi):
+            x = np.empty((hi - lo, theta.dim))
+            _draw_rows(theta, c, sub, lo, x)
+            _lr(theta, x, lr[lo:hi])
+            np.multiply(model._payoff(x), lr[lo:hi], out=vals[lo:hi])
+        _for_blocks(block, c, _block_rows(theta.dim))
         moments = merge_moments(moments, chunk_moments(vals))
         min_lr = min(min_lr, float(lr.min()))
         max_lr = max(max_lr, float(lr.max()))

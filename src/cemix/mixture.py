@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch
-from .numerics import _for_blocks
+from .numerics import _block_rows, _for_blocks, _step
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -22,10 +22,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # updated weights below this are clamped and the vector renormalized, so no
 # component ever becomes unrecoverable
 DEFAULT_WEIGHT_FLOOR = 1e-4
-
-# the sampler's row blocks take about this many stream words each; a block
-# bounds the gathered-means temporary and moves no result
-_BLOCK_WORDS = 2 ** 16
 
 
 @dataclass
@@ -138,6 +134,16 @@ def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
     return np.exp(-top) / s
 
 
+def _lr(theta: MixtureParam, x: np.ndarray, out: np.ndarray):
+    """likelihood_ratio of the rows of x into out.  Each tilt matmul takes at most 2^18
+    multiply-adds, which OpenBLAS runs on the calling thread: none of its threads
+    wakes to spin against the pool."""
+    step = _step(len(x), max(1, 2 ** 18 // (theta.m * theta.dim)))
+    for lo in range(0, len(x), step):
+        top, _, s = _shifted_exp(_tilts(theta, x[lo:lo + step]))
+        np.divide(np.exp(-top), s, out=out[lo:lo + step])
+
+
 def lr_and_posterior(theta: MixtureParam, x):
     """likelihood_ratio and posterior of one batch from a single tilt matrix."""
     top, e, s = _shifted_exp(_tilts(theta, x))
@@ -153,28 +159,33 @@ def posterior(theta: MixtureParam, x) -> np.ndarray:
     return lr_and_posterior(theta, x)[1]
 
 
-def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
-    """n iid draws from h_theta.
+def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.ndarray):
+    """Rows [lo, lo + len(x)) of the n-row batch of sample_mixture, written into
+    the C-contiguous x; returns their labels.  Words [lo, hi) of the stream pick
+    the labels (none drawn when m = 1); words n + [i*d, (i+1)*d) give row i by
+    inverse-CDF normals."""
+    labels = np.zeros(len(x), dtype=np.intp)
+    if theta.m > 1:
+        u = stream._fill(np.empty(len(x)), lo)
+        np.minimum(np.searchsorted(np.cumsum(theta.weights), u), theta.m - 1, out=labels)
+    flat = x.reshape(-1)
+    stream._fill(flat, n + lo * theta.dim)
+    ndtri(flat, out=flat)
+    step = max(1, 2 ** 16 // theta.dim)  # bounds the gathered-means temporary
+    for i in range(0, len(x), step):
+        x[i:i + step] += theta.means[labels[i:i + step]]
+    return labels
 
-    Words [0, n) of the stream pick the component labels (not drawn when
-    m = 1); words n + [i*d, (i+1)*d) give sample i by inverse-CDF normals.
-    Row blocks are drawn on the thread pool, each from its own words.
-    Parallel chunking hands chunk k the stream with counter offset k.
-    """
+
+def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
+    """n iid draws from h_theta: _draw_rows over row blocks on the thread pool,
+    each block from its own words.  Parallel chunking hands chunk k the stream
+    with counter offset k."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d, means = theta.dim, theta.means
-    cum = np.cumsum(theta.weights) if theta.m > 1 else None
-    u = np.empty(n * (d + 1))
-    labels = np.zeros(n, dtype=np.intp)
-    x = u[n:].reshape(n, d)
+    x = np.empty((n, theta.dim))
+    labels = np.empty(n, dtype=np.intp)
     def draw(lo, hi):
-        if cum is not None:
-            stream._fill(u[lo:hi], lo)
-            np.minimum(np.searchsorted(cum, u[lo:hi]), cum.size - 1, out=labels[lo:hi])
-        block = u[n + lo * d:n + hi * d]
-        stream._fill(block, n + lo * d)
-        ndtri(block, out=block)  # in place: a (n, d) batch is the largest array of a run
-        x[lo:hi] += means[labels[lo:hi]]
-    _for_blocks(draw, n, max(1, _BLOCK_WORDS // (d + 1)))
+        labels[lo:hi] = _draw_rows(theta, n, stream, lo, x[lo:hi])
+    _for_blocks(draw, n, _block_rows(theta.dim))
     return SampleBatch(x=x, labels=labels)

@@ -18,9 +18,20 @@ from scipy.linalg import solve_triangular
 
 from .errors import ApproxUnavailable, ConfigError
 from .mixture import _as_batch
-from .numerics import _for_blocks, bisect_root, cholesky
+from .numerics import _block_rows, _for_blocks, bisect_root, cholesky
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
+
+
+def _map_rows(model, x) -> np.ndarray:
+    """model._payoff over row blocks of x on the pool.  _payoff is a row kernel (row i
+    of its output depends on row i of x only) that calls only private helpers."""
+    x = _as_batch(x, model.dim)
+    out = np.empty(len(x))
+    def block(lo, hi):
+        out[lo:hi] = model._payoff(x[lo:hi])
+    _for_blocks(block, len(x), _block_rows(model.dim))
+    return out
 
 
 @dataclass
@@ -39,9 +50,10 @@ class TwoSidedTail:
         if not self.b < 0 < self.a:
             raise ConfigError("need b < 0 < a")
 
-    def payoff(self, x):
-        x = _as_batch(x, 1)[:, 0]
-        return ((x >= self.a) | (x <= self.b)).astype(float)
+    def payoff(self, x): return _map_rows(self, x)
+
+    def _payoff(self, x):
+        return ((x[:, 0] >= self.a) | (x[:, 0] <= self.b)).astype(float)
 
     def rarity_levels(self, x):
         """(n, 2) rarity reached per side: x/a above, x/b below.
@@ -89,14 +101,12 @@ class AsianCall:
     def dim(self):
         return self.n_dates
 
-    def _prices(self, x):
-        x = _as_batch(x, self.n_dates)
+    def payoff(self, x): return _map_rows(self, x)
+
+    def _payoff(self, x):
         drift = (self.r - 0.5 * self.sigma ** 2) * self.times
         bridge = np.cumsum(self._sqdt * x, axis=1)
-        return self.s0 * np.exp(drift[None, :] + self.sigma * bridge)
-
-    def payoff(self, x):
-        mean_price = self._prices(x).mean(axis=1)
+        mean_price = (self.s0 * np.exp(drift[None, :] + self.sigma * bridge)).mean(axis=1)
         return np.exp(-self.r * self.maturity) * np.maximum(mean_price - self.strike, 0.0)
 
     def approx_tilts(self):
@@ -142,7 +152,7 @@ class CorrelatedGbm:
     def dim(self):
         return self.s0.size
 
-    def terminal_prices(self, x):
+    def _terminal_prices(self, x):
         """Undiscounted S_T^(j) per sample and asset."""
         cx = _as_batch(x, self.dim) @ self.chol.T
         expo = (self.r - 0.5 * self.sigmas ** 2) * self.maturity \
@@ -171,18 +181,20 @@ class RainbowOption(CorrelatedGbm):
     def default_components(self):
         return self.dim
 
-    def payoff(self, x):
+    def payoff(self, x): return _map_rows(self, x)
+
+    def _payoff(self, x):
         disc = np.exp(-self.r * self.maturity)
-        best = (disc * self.terminal_prices(x)).max(axis=1)
+        best = (disc * self._terminal_prices(x)).max(axis=1)
         return np.maximum(best - disc * self.strike, 0.0)
 
     def rarity_levels(self, x):
         """(n, d) rarity reached per asset: terminal price over strike."""
-        return self.terminal_prices(x) / self.strike
+        return self._terminal_prices(x) / self.strike
 
     def rarity_payoff(self, delta, x):
         disc = np.exp(-self.r * self.maturity)
-        prices = self.terminal_prices(x)
+        prices = self._terminal_prices(x)
         delta = np.asarray(delta, dtype=float)
         h = (disc * prices - disc * delta[None, :] * self.strike).max(axis=1)
         # the level comparison of init_rarity_ce, so the sample that set
@@ -227,8 +239,10 @@ class PyramidOption(CorrelatedGbm):
     def default_components(self):
         return 2 ** self.dim
 
-    def payoff(self, x):
-        spread = np.abs(self.terminal_prices(x) - self.asset_strikes).sum(axis=1)
+    def payoff(self, x): return _map_rows(self, x)
+
+    def _payoff(self, x):
+        spread = np.abs(self._terminal_prices(x) - self.asset_strikes).sum(axis=1)
         return np.exp(-self.r * self.maturity) * np.maximum(spread - self.strike, 0.0)
 
     def sign_patterns(self):
@@ -279,7 +293,6 @@ class CevDigital:
     name = "cev_digital"
     inits = ("approx",)
     default_components = 2
-    _EULER_ROWS = 8192  # rows per Euler block: cache-sized, yet amortises GIL hand-offs
 
     def __post_init__(self):
         if not (0.5 <= self.gamma1 <= 1.0 and 0.5 <= self.gamma2 <= 1.0):
@@ -295,13 +308,10 @@ class CevDigital:
 
     def paths(self, x):
         """Terminal (S_T, H_T) for each innovation row."""
-        x = _as_batch(x, self.dim)
-        out = np.empty((2, x.shape[0]))
-        _for_blocks(lambda lo, hi: self._euler(x[lo:hi], out[:, lo:hi]), len(x), self._EULER_ROWS)
-        return out[0], out[1]
+        return self._euler(_as_batch(x, self.dim))
 
-    def _euler(self, x, out):
-        """Euler loop over the rows of x, writing (S_T, H_T) into out."""
+    def _euler(self, x):
+        """Terminal (S_T, H_T) of the rows of x by one Euler loop."""
         z = x[:, 0::2]
         resid = x[:, 1::2]
         dt = self.maturity / self.n_steps
@@ -318,12 +328,13 @@ class CevDigital:
             xs = np.maximum(xs + cx * dw, 0.0)
             ys = np.maximum(ys + cy * db, 0.0)
         grow = np.exp(self.r * self.maturity)
-        np.multiply(grow, xs, out=out[0])
-        np.multiply(grow, ys, out=out[1])
+        return grow * xs, grow * ys
 
-    def payoff(self, x):
+    def payoff(self, x): return _map_rows(self, x)
+
+    def _payoff(self, x):
         # undiscounted hit probability of the better asset reaching K
-        s_t, h_t = self.paths(x)
+        s_t, h_t = self._euler(x)
         hit = np.maximum(self.c1 * s_t, self.c2 * h_t) >= self.strike
         return hit.astype(float)
 

@@ -16,12 +16,28 @@ from .errors import NoBracket, NotPositiveDefinite, RankOutOfRange
 _POOL = ThreadPoolExecutor(os.cpu_count() or 1)
 
 
+def _block_rows(d: int) -> int:
+    """Rows per block of a d-column batch: ~2^16 words, at least 8192 to amortise the GIL."""
+    return max(8192, 2 ** 16 // (d + 1))
+
+
+def _step(n: int, size: int, parts: int = 1) -> int:
+    """Length of near-equal blocks of range(n), at most size rows and a multiple of parts
+    in number.  Blocks start on multiples of 16 rows, the widest BLAS kernel unroll: a
+    row's matmul bits then do not depend on where the blocks fall."""
+    unit = min(16, size)
+    count = -(-n // (size // unit * unit))
+    count = -(-count // parts) * parts
+    return -(-n // (count * unit)) * unit
+
+
 def _for_blocks(fn: Callable[[int, int], None], n: int, size: int):
-    """fn(start, stop) for each size-row block of range(n) on the pool, inline for one
-    block.  fn calls no public cemix callable: perfbench's tracer has one span stack."""
+    """fn(start, stop) for the _step blocks of range(n) on the pool, inline for one block.
+    fn calls no public cemix callable: perfbench's tracer has one span stack."""
     if n <= size:
         return fn(0, n)
-    list(_POOL.map(lambda start: fn(start, min(start + size, n)), range(0, n, size)))
+    step = _step(n, size, _POOL._max_workers)
+    list(_POOL.map(lambda start: fn(start, min(start + step, n)), range(0, n, step)))
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from cemix.errors import DegenerateUpdate
-from cemix.mixture import MixtureParam
+from cemix.estimate import LR_CONCENTRATION_SHARE, chunk_moments, merge_moments
+from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
 
 
 def uniforms(stream, size) -> np.ndarray:
@@ -56,6 +57,24 @@ def serial_sample(theta: MixtureParam, n: int, stream):
     u = uniforms(stream, n * (theta.dim + 1))
     labels = np.minimum(np.searchsorted(np.cumsum(theta.weights), u[:n]), theta.m - 1)
     return ndtri(u[n:]).reshape(n, theta.dim) + theta.means[labels], labels
+
+
+def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: int):
+    """(estimate, std_error, min_lr, max_lr, lr_concentrated) of is_estimate from
+    public calls: each chunk draws its whole batch with sample_mixture, then
+    takes likelihood_ratio and payoff of it and its chunk_moments; the chunks
+    merge in chunk order."""
+    moments, lrs, vals = (0, 0.0, 0.0), [], []
+    for k, start in enumerate(range(0, n, chunk_size)):
+        x = sample_mixture(theta, min(chunk_size, n - start),
+                           stream.child(counter=stream.counter + k)).x
+        lrs.append(likelihood_ratio(theta, x))
+        vals.append(model.payoff(x) * lrs[-1])
+        moments = merge_moments(moments, chunk_moments(vals[-1]))
+    _, est, m2 = moments
+    top = max(v.max() for v in vals)
+    return (est, math.sqrt(m2 / (n - 1) / n), min(v.min() for v in lrs),
+            max(v.max() for v in lrs), est > 0 and top > LR_CONCENTRATION_SHARE * est * n)
 
 
 def cev_paths(model, x):

@@ -223,6 +223,8 @@ def test_criterion_8_property_suite():
         def payoff(x):
             return np.exp(np.asarray(x) @ c)
 
+        _payoff = payoff
+
     theta, _ = run_ce(Expo(), MixtureParam.single([0.0, 0.0]),
                       CeConfig(pilot_size=100_000, iterations=5), RngStream(23))
     assert np.max(np.abs(theta.means[0] - c)) <= 0.05

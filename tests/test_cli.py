@@ -93,7 +93,8 @@ class TestExperiments:
 
     def test_draws_do_not_depend_on_thread_count(self, monkeypatch):
         # more workers than cores, switching often, must not move a result
-        cfgs = table_configs(2, seed=1) + table_configs(6, seed=1) + table_configs(9, seed=1)[:1]
+        cfgs = table_configs(2, seed=1) + table_configs(6, seed=1) + table_configs(9, seed=1)[:1] \
+            + table_configs(8, seed=1)[:1] + table_configs(4, seed=1)[:1]
         rows = {}
         interval = sys.getswitchinterval()
         try:
@@ -279,6 +280,36 @@ class TestCliMain:
             "model": {"name": "mystery"}, "init": {"method": "approx"}}))
         assert main(["run", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_missing_config_file_config_exit(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "absent.yaml")]) == EXIT_CONFIG
+        assert "config error: cannot read" in capsys.readouterr().err
+
+    def test_malformed_yaml_config_exit(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("model: {name: two_sided_tail, a: 1\n")
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "config error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("target", ["absent/x.csv", "."])
+    def test_run_output_path_unwritable_config_exit(self, tmp_path, capsys, monkeypatch,
+                                                    where, target):
+        # rejected before the row runs, so no result is lost
+        monkeypatch.setattr("cemix.cli.run_experiment", None)
+        out = str(tmp_path / target)
+        if where == "flag":
+            argv = ["run", str(write_config(tmp_path / "c.yaml")), "--output", out]
+        else:
+            argv = ["run", str(write_config(tmp_path / "c.yaml", output={"path": out}))]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: output path" in capsys.readouterr().err
+
+    def test_table_output_dir_missing_config_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("cemix.cli.reproduce_table", None)
+        out = str(tmp_path / "absent" / "x.csv")
+        assert main(["table", "2", "--output", out]) == EXIT_CONFIG
+        assert "config error: output path" in capsys.readouterr().err
 
     def test_degenerate_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml",

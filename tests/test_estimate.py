@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cemix.errors import UnequalSampleSize
+from cemix import numerics
+from cemix.errors import DimensionMismatch, UnequalSampleSize
 from cemix.estimate import (
     EstimateReport,
     chunk_moments,
@@ -15,10 +18,12 @@ from cemix.estimate import (
     plain_mc_estimate,
     variance_ratio,
 )
+from cemix.experiments import ASIAN, CEV, PYRAMID_4, RAINBOW_4
 from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
-from cemix.models import TwoSidedTail
-from cemix.numerics import normal_cdf
+from cemix.models import AsianCall, CevDigital, PyramidOption, RainbowOption, TwoSidedTail
+from cemix.numerics import _block_rows, normal_cdf
 from cemix.rng import RngStream
+from oracles import serial_is_estimate
 
 
 class ShiftedCall:
@@ -30,6 +35,8 @@ class ShiftedCall:
     def payoff(x):
         return np.maximum(np.asarray(x)[:, 0] - 1.0, 0.0)
 
+    _payoff = payoff
+
 
 class Constant:
     dim = 2
@@ -37,6 +44,8 @@ class Constant:
     @staticmethod
     def payoff(x):
         return np.full(np.asarray(x).shape[0], 3.25)
+
+    _payoff = payoff
 
 
 class Exponential:
@@ -49,6 +58,8 @@ class Exponential:
     @classmethod
     def payoff(cls, x):
         return np.exp(np.asarray(x) @ cls.c)
+
+    _payoff = payoff
 
 
 class TestIsEstimate:
@@ -158,6 +169,54 @@ class TestIsEstimate:
         report = is_estimate(model, theta, 100_000, RngStream(9))
         assert not report.lr_concentrated
         assert report.min_lr < 1.0 < report.max_lr
+
+
+def approx_theta(model):
+    """The model's approx tilts under unequal weights."""
+    tilts = model.approx_tilts()
+    w = np.arange(1.0, len(tilts) + 1)
+    return MixtureParam(w / w.sum(), tilts)
+
+
+class TestFusedPass:
+    """is_estimate draws, prices and weights row blocks on the pool; it must
+    give the bits of the whole-chunk public calls."""
+
+    @pytest.mark.parametrize("model, identity", [
+        (TwoSidedTail(a=2.0, b=-2.5), False),
+        (RainbowOption(strike=60.0, **RAINBOW_4), False),
+        (PyramidOption(strike=40.0, **PYRAMID_4), False),
+        (AsianCall(strike=60.0, **ASIAN), False),
+        (CevDigital(strike=60.0, **CEV), False),
+        (AsianCall(strike=60.0, **ASIAN), True),
+    ], ids=["tail-m2", "rainbow-m4", "pyramid-m16", "asian-d30", "cev-d100", "identity"])
+    def test_matches_serial_chunks(self, model, identity):
+        # two chunks of three full blocks and a ragged tail, then a short chunk
+        theta = MixtureParam.single(np.zeros(model.dim)) if identity else approx_theta(model)
+        chunk = 3 * _block_rows(model.dim) + 37
+        n, stream = 2 * chunk + 501, RngStream(14, phase="final_is", counter=3)
+        report = is_estimate(model, theta, n, stream, chunk_size=chunk)
+        assert (report.estimate, report.std_error, report.min_lr, report.max_lr,
+                report.lr_concentrated) == serial_is_estimate(model, theta, n, stream, chunk)
+
+    def test_no_chunk_sized_draw_array(self, monkeypatch):
+        # table 9's model at n = 1e5 on two workers: the (n, d) draws alone
+        # would take 80 MB
+        model = CevDigital(strike=60.0, **CEV)
+        theta = approx_theta(model)
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(numerics, "_POOL", pool)
+            tracemalloc.start()
+            try:
+                is_estimate(model, theta, 100_000, RngStream(15, phase="final_is"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            is_estimate(Constant(), MixtureParam.single([0.0]), 100, RngStream(16))
 
 
 class TestMergeMoments:

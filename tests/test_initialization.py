@@ -136,7 +136,7 @@ class TestRarityCe:
         model, theta, trace = self.run_rainbow(seed=5)
         assert np.all(trace[-1].delta >= 1.0)
         # each component pushes one asset toward the strike
-        prices = model.terminal_prices(theta.means)
+        prices = model._terminal_prices(theta.means)
         assert prices.max(axis=1).min() >= 0.8 * 60.0
 
     def test_embedding_required(self):

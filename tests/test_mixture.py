@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from cemix import numerics
 from cemix.errors import DimensionMismatch
 from cemix.mixture import (
-    _BLOCK_WORDS,
     MixtureParam,
+    _lr,
     likelihood_ratio,
     log_mixture_density,
     min_tilt_distance,
     posterior,
     sample_mixture,
 )
+from cemix.numerics import _block_rows, _for_blocks
 from cemix.rng import RngStream
 from oracles import log_component_density, permuted, serial_sample, uniforms
 
@@ -186,6 +189,23 @@ class TestLikelihoodRatio:
         se = lr.std(ddof=1) / math.sqrt(n)
         assert abs(lr.mean() - 1.0) <= 4 * se
 
+    @pytest.mark.parametrize("m, d", [(16, 4), (1, 100), (2, 100), (1, 30)])
+    def test_row_blocks_do_not_move_bits(self, m, d, monkeypatch):
+        # the fused estimators' lr over pool blocks and matmul sub-blocks, on
+        # pools that place the blocks differently; a block start off the BLAS
+        # kernel unroll moves some rows' bits
+        theta = random_theta(np.random.default_rng(m + d), m, d)
+        n = 5 * _block_rows(d) + 7
+        x = sample_mixture(theta, n, RngStream(10)).x
+        outs = []
+        for workers in (1, 4):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(numerics, "_POOL", pool)
+                outs.append(np.empty(n))
+                _for_blocks(lambda lo, hi: _lr(theta, x[lo:hi], outs[-1][lo:hi]), n,
+                            _block_rows(d))
+        np.testing.assert_array_equal(*outs)
+
 
 class TestSampleMixture:
     def test_deterministic(self):
@@ -209,7 +229,7 @@ class TestSampleMixture:
     def test_blocks_match_one_serial_draw(self, d, m):
         # three full blocks and a ragged tail; at d = 3 block starts fall
         # off the 4-word Philox counter steps
-        n = 3 * (_BLOCK_WORDS // (d + 1)) + 5
+        n = 3 * _block_rows(d) + 5
         theta = random_theta(np.random.default_rng(d + m), m, d)
         stream = RngStream(9, phase="final_is", iteration=2, counter=7)
         batch = sample_mixture(theta, n, stream)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from cemix.models import (
     PyramidOption,
     RainbowOption,
     TwoSidedTail,
+    _map_rows,
 )
-from cemix.numerics import normal_cdf
+from cemix.numerics import _block_rows, normal_cdf
 from cemix.rng import RngStream
 from oracles import cev_paths, normals
 
@@ -180,7 +182,7 @@ class TestRainbowOption:
         model = self.make2(strike=70.0)
         tilts = model.approx_tilts()
         for j in range(2):
-            prices = model.terminal_prices(tilts[j][None, :])[0]
+            prices = model._terminal_prices(tilts[j][None, :])[0]
             # asset j's price under its own tilt lands on K up to the
             # half-variance term absorbed into the construction
             eta = model.chol @ tilts[j]
@@ -197,7 +199,7 @@ class TestRainbowOption:
         model = self.make2()
         x = normals(RngStream(5), 1000, 2)
         member = model.rarity_levels(x) >= np.array([0.8, 0.8])
-        prices = model.terminal_prices(x)
+        prices = model._terminal_prices(x)
         np.testing.assert_array_equal(member, prices > 0.8 * 60.0)
 
 
@@ -231,7 +233,7 @@ class TestPyramidOption:
     def test_approx_tilts_all_plus_reaches_strike(self):
         model = self.make2(strike=40.0)
         tilt = model.approx_tilts()[0]
-        prices = model.terminal_prices(tilt[None, :])[0]
+        prices = model._terminal_prices(tilt[None, :])[0]
         spread = np.abs(prices - model.asset_strikes).sum()
         # the all-plus tilt is built to put the spread at the strike, up to
         # the half-variance term dropped by the approximation
@@ -287,11 +289,16 @@ class TestCevDigital:
             assert abs(h_t[i] - h * math.exp(0.03)) <= 1e-12 * max(h, 1.0)
 
     def test_row_blocks_match_whole_batch_loop(self):
-        # three full Euler blocks and a one-row tail, bit for bit
+        # the Euler row kernel mapped over three full payoff blocks and a
+        # ragged tail, bit for bit
         model = self.make()
-        x = normals(RngStream(8), 3 * CevDigital._EULER_ROWS + 1, 100)
-        for got, want in zip(model.paths(x), cev_paths(model, x)):
-            np.testing.assert_array_equal(got, want)
+        x = normals(RngStream(8), 3 * _block_rows(100) + 1, 100)
+        s_t, h_t = cev_paths(model, x)
+        for i, want in enumerate((s_t, h_t)):
+            kernel = SimpleNamespace(dim=100, _payoff=lambda rows: model._euler(rows)[i])
+            np.testing.assert_array_equal(_map_rows(kernel, x), want)
+        np.testing.assert_array_equal(
+            model.payoff(x), (np.maximum(s_t, h_t) >= model.strike).astype(float))
 
     def test_absorption_at_zero(self):
         model = self.make(n_steps=4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cemix.errors import NoBracket, NotPositiveDefinite, RankOutOfRange
-from cemix.numerics import bisect_root, cholesky, normal_cdf, order_statistic
+from cemix.numerics import _for_blocks, bisect_root, cholesky, normal_cdf, order_statistic
 
 
 class TestCholesky:
@@ -38,6 +38,19 @@ class TestCholesky:
         c = cholesky(corr)
         assert np.max(np.abs(c @ c.T - corr)) <= 1e-10
         assert np.all(np.diag(c) > 0)
+
+
+class TestForBlocks:
+    @given(st.integers(1, 20_000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_partition_range(self, size, data):
+        n = data.draw(st.integers(1, 50 * size))
+        blocks = []
+        _for_blocks(lambda lo, hi: blocks.append((lo, hi)), n, size)
+        blocks.sort()
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(0 < hi - lo <= size for lo, hi in blocks)
 
 
 class TestOrderStatistic:
