@@ -9,10 +9,6 @@ class NotPositiveDefinite(CemixError):
     """Cholesky factorization hit a nonpositive pivot."""
 
 
-class RankOutOfRange(CemixError):
-    """Order-statistic rank outside 1..N."""
-
-
 class NoBracket(CemixError):
     """Root bracket endpoints do not straddle a sign change."""
 

@@ -11,7 +11,6 @@ from .engine import PilotConfig, evaluate_pilot, mixture_update
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
 from .mixture import MixtureParam, min_tilt_distance, sample_mixture
 from .models import require_init
-from .numerics import order_statistic
 from .rng import RngStream
 
 
@@ -78,9 +77,7 @@ def init_approx(model) -> MixtureParam:
 def rarity_delta(levels, n0: int, prev) -> np.ndarray:
     """Per column of the (n, k) rarity levels, the largest delta that at
     least n0 samples reach (the n0-th largest level), never below prev."""
-    levels = np.asarray(levels, dtype=float)
-    n = levels.shape[0]
-    reached = np.array([order_statistic(col, n - n0 + 1) for col in levels.T])
+    reached = np.partition(np.asarray(levels, dtype=float), -n0, axis=0)[-n0]
     return np.maximum(reached, np.asarray(prev, dtype=float))
 
 

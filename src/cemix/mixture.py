@@ -77,14 +77,9 @@ def min_tilt_distance(means) -> float:
 
 @dataclass
 class SampleBatch:
-    """Draws from a mixture.
+    """Draws from a mixture."""
 
-    Component labels are diagnostics only; parameter updates use EM
-    posteriors, never the labels.
-    """
-
-    x: np.ndarray              # (n, d)
-    labels: np.ndarray = None  # (n,) int or None
+    x: np.ndarray  # (n, d); kept as a batch: perfbench's tracer reads sample_mixture(...).x
 
 
 def _as_batch(x, dim: int) -> np.ndarray:
@@ -96,14 +91,12 @@ def _as_batch(x, dim: int) -> np.ndarray:
     return x
 
 
-def _tilts(theta: MixtureParam, x) -> np.ndarray:
+def _tilts(theta: MixtureParam, x: np.ndarray) -> np.ndarray:
     """(m, n) tilt matrix t_j(x) = alpha_j.x + log w_j - |alpha_j|^2 / 2.
 
-    w_j phi_d(x - alpha_j) = phi_d(x) exp(t_j(x)), so the |x|^2 terms cancel
-    and are never formed.  Components run along axis 0, so the per-sample
-    reductions are elementwise over contiguous rows.
+    w_j phi_d(x - alpha_j) = phi_d(x) exp(t_j(x)), so the |x|^2 terms cancel and are
+    never formed.  Components run along axis 0: per-sample reductions are elementwise.
     """
-    x = _as_batch(x, theta.dim)
     a = theta.means
     t = a @ x.T
     t += (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
@@ -119,38 +112,52 @@ def _shifted_exp(t: np.ndarray):
     return top, t, t.sum(axis=0)
 
 
+def _tilt_slices(theta: MixtureParam, x: np.ndarray):
+    """(rows, top, e, s): the _tilts of x[rows] through _shifted_exp, over _step-aligned
+    row slices of x.  Each tilt matmul takes at most 2^18 multiply-adds, which OpenBLAS runs
+    on the calling thread: none of its threads wakes to spin against the pool."""
+    step = _step(max(len(x), 1), max(1, 2 ** 18 // (theta.m * theta.dim)))
+    for lo in range(0, len(x), step):
+        rows = slice(lo, lo + step)
+        yield (rows, *_shifted_exp(_tilts(theta, x[rows])))
+
+
+def _lr(theta: MixtureParam, x: np.ndarray, lr: np.ndarray, post: np.ndarray = None):
+    """likelihood_ratio of the rows of x into lr and, given the (n, m) post, their
+    posteriors into it."""
+    for rows, top, e, s in _tilt_slices(theta, x):
+        np.divide(np.exp(-top), s, out=lr[rows])
+        if post is not None:
+            np.divide(e, s, out=post[rows].T)
+
+
 def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
     """log h_theta(x) = log phi_d(x) + log sum_j exp(t_j(x)), max-shifted."""
     x = _as_batch(x, theta.dim)
-    top, _, s = _shifted_exp(_tilts(theta, x))
-    return top + np.log(s) - 0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * theta.dim * LOG_2PI
+    out = np.empty(len(x))
+    for rows, top, _, s in _tilt_slices(theta, x):
+        out[rows] = (top + np.log(s) - 0.5 * np.einsum("nd,nd->n", x[rows], x[rows])
+                     - 0.5 * theta.dim * LOG_2PI)
+    return out
+
+
+def lr_and_posterior(theta: MixtureParam, x):
+    """likelihood_ratio and posterior of one batch from one tilt pass.  The (n, m)
+    posteriors are row-major: the CE update's column sums round as for any such array."""
+    x = _as_batch(x, theta.dim)
+    lr, post = np.empty(len(x)), np.empty((len(x), theta.m))
+    _lr(theta, x, lr, post)
+    return lr, post
 
 
 def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
     """phi_d(x) / h_theta(x) = 1 / sum_j exp(t_j(x)); the unbiasedness
     correction factor.  Exactly 1 under the identity tilt; 0 once it
     underflows far out in a component's tail."""
-    top, _, s = _shifted_exp(_tilts(theta, x))
-    return np.exp(-top) / s
-
-
-def _lr(theta: MixtureParam, x: np.ndarray, out: np.ndarray):
-    """likelihood_ratio of the rows of x into out.  Each tilt matmul takes at most 2^18
-    multiply-adds, which OpenBLAS runs on the calling thread: none of its threads
-    wakes to spin against the pool."""
-    step = _step(len(x), max(1, 2 ** 18 // (theta.m * theta.dim)))
-    for lo in range(0, len(x), step):
-        top, _, s = _shifted_exp(_tilts(theta, x[lo:lo + step]))
-        np.divide(np.exp(-top), s, out=out[lo:lo + step])
-
-
-def lr_and_posterior(theta: MixtureParam, x):
-    """likelihood_ratio and posterior of one batch from a single tilt matrix."""
-    top, e, s = _shifted_exp(_tilts(theta, x))
-    e /= s
-    # row-major like x: numpy sums over samples in an order set by the
-    # layout, and the CE update should round as for any (n, m) array
-    return np.exp(-top) / s, np.ascontiguousarray(e.T)
+    x = _as_batch(x, theta.dim)
+    lr = np.empty(len(x))
+    _lr(theta, x, lr)
+    return lr
 
 
 def posterior(theta: MixtureParam, x) -> np.ndarray:
@@ -161,9 +168,8 @@ def posterior(theta: MixtureParam, x) -> np.ndarray:
 
 def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.ndarray):
     """Rows [lo, lo + len(x)) of the n-row batch of sample_mixture, written into
-    the C-contiguous x; returns their labels.  Words [lo, hi) of the stream pick
-    the labels (none drawn when m = 1); words n + [i*d, (i+1)*d) give row i by
-    inverse-CDF normals."""
+    the C-contiguous x.  Words [lo, hi) of the stream pick the components (none
+    drawn when m = 1); words n + [i*d, (i+1)*d) give row i by inverse-CDF normals."""
     labels = np.zeros(len(x), dtype=np.intp)
     if theta.m > 1:
         u = stream._fill(np.empty(len(x)), lo)
@@ -174,7 +180,6 @@ def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.nd
     step = max(1, 2 ** 16 // theta.dim)  # bounds the gathered-means temporary
     for i in range(0, len(x), step):
         x[i:i + step] += theta.means[labels[i:i + step]]
-    return labels
 
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
@@ -184,8 +189,6 @@ def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatc
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.empty((n, theta.dim))
-    labels = np.empty(n, dtype=np.intp)
-    def draw(lo, hi):
-        labels[lo:hi] = _draw_rows(theta, n, stream, lo, x[lo:hi])
-    _for_blocks(draw, n, _block_rows(theta.dim))
-    return SampleBatch(x=x, labels=labels)
+    _for_blocks(lambda lo, hi: _draw_rows(theta, n, stream, lo, x[lo:hi]), n,
+                _block_rows(theta.dim))
+    return SampleBatch(x=x)

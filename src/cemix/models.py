@@ -306,10 +306,6 @@ class CevDigital:
     def dim(self):
         return 2 * self.n_steps
 
-    def paths(self, x):
-        """Terminal (S_T, H_T) for each innovation row."""
-        return self._euler(_as_batch(x, self.dim))
-
     def _euler(self, x):
         """Terminal (S_T, H_T) of the rows of x by one Euler loop."""
         z = x[:, 0::2]

@@ -1,5 +1,5 @@
-"""Deterministic numerical utilities: Cholesky, order statistics, root
-finding, and the normal CDF oracle."""
+"""Deterministic numerical utilities: the row-block thread pool, Cholesky,
+root finding, and the normal CDF oracle."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import NoBracket, NotPositiveDefinite, RankOutOfRange
+from .errors import NoBracket, NotPositiveDefinite
 
 # blocks write disjoint slices of one output: no result depends on the size
 _POOL = ThreadPoolExecutor(os.cpu_count() or 1)
@@ -55,15 +55,6 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-
-
-def order_statistic(values, k: int) -> float:
-    """k-th smallest element (1-based), ties resolved by multiplicity."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if not 1 <= k <= n:
-        raise RankOutOfRange(f"rank {k} outside 1..{n}")
-    return float(np.partition(values, k - 1)[k - 1])
 
 
 def bisect_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -203,7 +203,7 @@ def test_criterion_8_property_suite():
                        gamma2=1.0, rho=0.0, r=0.03, maturity=1.0, strike=55.0,
                        n_steps=10)
     x = np.random.default_rng(10).standard_normal((20, 20))
-    s_t, h_t = model.paths(x)
+    s_t, h_t = model._euler(x)
     dt, grow = 0.1, math.exp(0.03)
     for i in range(20):
         s, h = 50.0, 48.0

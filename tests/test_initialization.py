@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemix.errors import ApproxUnavailable, ConfigError, StagnantRarity
 from cemix.initialization import (
@@ -7,6 +9,7 @@ from cemix.initialization import (
     init_approx,
     init_perturbation,
     init_rarity_ce,
+    rarity_delta,
 )
 from cemix.mixture import MixtureParam
 from cemix.models import RainbowOption, TwoSidedTail
@@ -67,6 +70,40 @@ class TestRarityConfig:
     def test_pilot_too_small(self):
         with pytest.raises(ConfigError):
             RarityConfig(rho=0.01, pilot_size=10).n0(2)
+
+
+def kth_smallest(values, k):
+    """The k-th smallest value (1-based) through rarity_delta on one column:
+    the n0-th largest of n values is the (n - n0 + 1)-th smallest."""
+    values = np.asarray(values, dtype=float)
+    return rarity_delta(values[:, None], values.size - k + 1, [-np.inf])[0]
+
+
+class TestRarityDelta:
+    def test_small_cases(self):
+        assert kth_smallest([3, 1, 2], 1) == 1
+        assert kth_smallest([3, 1, 2], 3) == 3
+        assert kth_smallest([5, 5, 1], 2) == 5
+
+    def test_matches_full_sort(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(100_000)
+        full = np.sort(values)
+        for k in (1, 17, 50_000, 100_000):
+            assert kth_smallest(values, k) == full[k - 1]
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=30), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sort_oracle(self, values, data):
+        k = data.draw(st.integers(1, len(values)))
+        assert kth_smallest(values, k) == sorted(values)[k - 1]
+
+    def test_columns_and_floor(self):
+        # each column on its own, never below prev
+        levels = np.random.default_rng(1).integers(-3, 4, size=(50, 3)).astype(float)
+        prev = np.array([-np.inf, 10.0, -np.inf])
+        expect = np.maximum(np.sort(levels, axis=0)[-7], prev)
+        np.testing.assert_array_equal(rarity_delta(levels, 7, prev), expect)
 
 
 class TestRarityCe:

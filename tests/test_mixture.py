@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import logsumexp, ndtri
 
 from cemix import numerics
 from cemix.errors import DimensionMismatch
@@ -14,6 +14,7 @@ from cemix.mixture import (
     _lr,
     likelihood_ratio,
     log_mixture_density,
+    lr_and_posterior,
     min_tilt_distance,
     posterior,
     sample_mixture,
@@ -207,6 +208,33 @@ class TestLikelihoodRatio:
         np.testing.assert_array_equal(*outs)
 
 
+class TestTiltSlices:
+    @pytest.mark.parametrize("m, d", [(16, 4), (2, 100)])
+    def test_slices_match_component_oracle(self, m, d):
+        # three full tilt slices of 2^18 multiply-adds and a ragged tail
+        rng = np.random.default_rng(m + d)
+        theta = random_theta(rng, m, d)
+        x = rng.standard_normal((3 * (2 ** 18 // (m * d)) + 5, d))
+        log_joint = np.array([math.log(w) + log_component_density(a, x)
+                              for w, a in zip(theta.weights, theta.means)])
+        log_h = logsumexp(log_joint, axis=0)
+        lr, post = lr_and_posterior(theta, x)
+        np.testing.assert_allclose(log_mixture_density(theta, x), log_h, rtol=1e-12)
+        np.testing.assert_allclose(lr, np.exp(log_component_density(np.zeros(d), x) - log_h),
+                                   rtol=1e-9)
+        np.testing.assert_allclose(post, np.exp(log_joint - log_h).T, rtol=1e-9, atol=1e-300)
+        assert post.flags.c_contiguous
+        np.testing.assert_array_equal(likelihood_ratio(theta, x), lr)
+        np.testing.assert_array_equal(posterior(theta, x), post)
+
+    def test_empty_batch(self):
+        theta = MixtureParam([0.5, 0.5], [[1.0], [-1.0]])
+        x = np.zeros((0, 1))
+        assert likelihood_ratio(theta, x).shape == (0,)
+        assert posterior(theta, x).shape == (0, 2)
+        assert log_mixture_density(theta, x).shape == (0,)
+
+
 class TestSampleMixture:
     def test_deterministic(self):
         theta = MixtureParam([0.5, 0.5], [[1.0], [-1.0]])
@@ -219,10 +247,9 @@ class TestSampleMixture:
         theta = MixtureParam([0.3, 0.7], [[1.0, 0.0, 2.0], [-1.0, 0.5, 0.0]])
         n, s = 50, RngStream(8, iteration=2)
         u = uniforms(s, n * 4)
-        batch = sample_mixture(theta, n, s)
-        np.testing.assert_array_equal(batch.labels, (u[:n] > 0.3).astype(int))
-        np.testing.assert_array_equal(
-            batch.x, ndtri(u[n:].reshape(n, 3)) + theta.means[batch.labels])
+        labels = (u[:n] > 0.3).astype(int)
+        np.testing.assert_array_equal(sample_mixture(theta, n, s).x,
+                                      ndtri(u[n:].reshape(n, 3)) + theta.means[labels])
 
     @pytest.mark.parametrize("d", [1, 3, 100])
     @pytest.mark.parametrize("m", [1, 2])
@@ -232,10 +259,8 @@ class TestSampleMixture:
         n = 3 * _block_rows(d) + 5
         theta = random_theta(np.random.default_rng(d + m), m, d)
         stream = RngStream(9, phase="final_is", iteration=2, counter=7)
-        batch = sample_mixture(theta, n, stream)
-        x, labels = serial_sample(theta, n, stream)
-        np.testing.assert_array_equal(batch.x, x)
-        np.testing.assert_array_equal(batch.labels, labels)
+        x, _ = serial_sample(theta, n, stream)
+        np.testing.assert_array_equal(sample_mixture(theta, n, stream).x, x)
 
     def test_single_component_moments(self):
         n = 100_000
@@ -246,12 +271,13 @@ class TestSampleMixture:
     def test_label_frequencies(self):
         n = 100_000
         theta = MixtureParam([0.2, 0.8], [[5.0], [-5.0]])
-        batch = sample_mixture(theta, n, RngStream(7))
-        frac = (batch.labels == 0).mean()
+        x = sample_mixture(theta, n, RngStream(7)).x
+        frac = (x[:, 0] > 0).mean()
         se = math.sqrt(0.2 * 0.8 / n)
         assert abs(frac - 0.2) <= 4 * se
         # labels and positions agree for well-separated components
-        assert np.all((batch.x[:, 0] > 0) == (batch.labels == 0))
+        _, labels = serial_sample(theta, n, RngStream(7))
+        assert np.all((x[:, 0] > 0) == (labels == 0))
 
     def test_dimension_mismatch(self):
         theta = MixtureParam.single([0.0, 0.0])

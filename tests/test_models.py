@@ -263,7 +263,7 @@ class TestCevDigital:
 
     def test_zero_innovations_hold_levels(self):
         model = self.make()
-        s_t, h_t = model.paths(np.zeros((1, 100)))
+        s_t, h_t = model._euler(np.zeros((1, 100)))
         grow = math.exp(0.03)
         assert abs(s_t[0] - 50.0 * grow) <= 1e-12
         assert abs(h_t[0] - 48.0 * grow) <= 1e-12
@@ -278,7 +278,7 @@ class TestCevDigital:
         model = self.make(gamma1=1.0, gamma2=1.0, rho=0.0, n_steps=8)
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 16))
-        s_t, h_t = model.paths(x)
+        s_t, h_t = model._euler(x)
         dt = 1.0 / 8
         for i in range(5):
             s, h = 50.0, 48.0
@@ -304,14 +304,14 @@ class TestCevDigital:
         model = self.make(n_steps=4)
         x = np.zeros((1, 8))
         x[0, 0] = -100.0  # kills S at the first step
-        s_t, _ = model.paths(x)
+        s_t, _ = model._euler(x)
         assert s_t[0] == 0.0
 
     def test_correlation_mixes_second_driver(self):
         model = self.make(rho=0.9, n_steps=2)
         x = np.zeros((1, 4))
         x[0, 0] = 1.0  # Z only; B-increment = rho * Z
-        _, h_t = model.paths(x)
+        _, h_t = model._euler(x)
         assert h_t[0] > 48.0 * math.exp(0.03)
 
     def test_drift_ode_oracle(self):

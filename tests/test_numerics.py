@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cemix.errors import NoBracket, NotPositiveDefinite, RankOutOfRange
-from cemix.numerics import _for_blocks, bisect_root, cholesky, normal_cdf, order_statistic
+from cemix.errors import NoBracket, NotPositiveDefinite
+from cemix.numerics import _for_blocks, bisect_root, cholesky, normal_cdf
 
 
 class TestCholesky:
@@ -51,31 +51,6 @@ class TestForBlocks:
         assert blocks[0][0] == 0 and blocks[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         assert all(0 < hi - lo <= size for lo, hi in blocks)
-
-
-class TestOrderStatistic:
-    def test_small_cases(self):
-        assert order_statistic([3, 1, 2], 1) == 1
-        assert order_statistic([3, 1, 2], 3) == 3
-        assert order_statistic([5, 5, 1], 2) == 5
-
-    def test_rank_out_of_range(self):
-        for k in (0, 4):
-            with pytest.raises(RankOutOfRange):
-                order_statistic([3, 1, 2], k)
-
-    def test_matches_full_sort(self):
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal(100_000)
-        full = np.sort(values)
-        for k in (1, 17, 50_000, 100_000):
-            assert order_statistic(values, k) == full[k - 1]
-
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=30), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_sort_oracle(self, values, data):
-        k = data.draw(st.integers(1, len(values)))
-        assert order_statistic(values, k) == sorted(values)[k - 1]
 
 
 class TestBisectRoot:
