@@ -17,20 +17,16 @@ from .mixture import (
     MixtureParam,
     SampleBatch,
     log_mixture_density,
-    lr_and_posterior,
     sample_mixture,
 )
 from .rng import RngStream
 
 
 @dataclass
-class PilotEvaluation:
-    """Per-sample quantities of one pilot batch under the sampling mixture."""
+class PilotEvaluation(SampleBatch):
+    """One pilot batch with its payoffs."""
 
-    x: np.ndarray           # (n, d)
-    payoff: np.ndarray      # (n,), nonnegative
-    lr: np.ndarray          # (n,), likelihood ratios, >= 0 (0 once underflowed)
-    posteriors: np.ndarray  # (n, m)
+    payoff: np.ndarray  # (n,), nonnegative
 
     def __post_init__(self):
         n = self.x.shape[0]
@@ -71,11 +67,9 @@ class IterationRecord:
     positive_payoffs: int
 
 
-def evaluate_pilot(payoff_fn, theta: MixtureParam, batch: SampleBatch) -> PilotEvaluation:
-    """Evaluate payoff, likelihood ratio, and posteriors for a pilot batch."""
-    lr, posteriors = lr_and_posterior(theta, batch.x)
-    return PilotEvaluation(x=batch.x, payoff=np.asarray(payoff_fn(batch.x), dtype=float),
-                           lr=lr, posteriors=posteriors)
+def evaluate_pilot(payoff_fn, batch: SampleBatch) -> PilotEvaluation:
+    """The pilot batch, already weighted by the sampler, with its payoffs."""
+    return PilotEvaluation(**vars(batch), payoff=np.asarray(payoff_fn(batch.x), dtype=float))
 
 
 def mixture_update(ev: PilotEvaluation, theta_prev: MixtureParam,
@@ -126,7 +120,7 @@ def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="pilot", iteration=it))
         try:
-            ev = evaluate_pilot(model.payoff, theta, batch)
+            ev = evaluate_pilot(model.payoff, batch)
             theta = mixture_update(ev, theta, cfg.weight_floor)
         except DegenerateUpdate as exc:
             raise DegenerateUpdate(str(exc), iteration=it) from exc

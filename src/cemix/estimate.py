@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnequalSampleSize
-from .mixture import MixtureParam, _draw_rows, _lr
+from .mixture import MixtureParam, _draw_rows
 from .numerics import _block_rows, _for_blocks
 from .rng import RngStream
 
@@ -59,9 +59,9 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
 
     Chunk k takes the rows of sample_mixture(theta, c, stream with counter
     offset k), so a run is reproducible for a fixed chunk size.  Each row block
-    of a chunk is drawn, priced by model._payoff and weighted on the thread
-    pool, with no (c, d) array.  The chunks' chunk_moments are merged in chunk
-    order by merge_moments.
+    of a chunk is drawn and weighted by _draw_rows and priced by model._payoff
+    on the thread pool, with no (c, d) array.  The chunks' chunk_moments are
+    merged in chunk order by merge_moments.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
@@ -75,8 +75,7 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
         lr, vals = np.empty(c), np.empty(c)
         def block(lo, hi):
             x = np.empty((hi - lo, theta.dim))
-            _draw_rows(theta, c, sub, lo, x)
-            _lr(theta, x, lr[lo:hi])
+            _draw_rows(theta, c, sub, lo, x, lr[lo:hi])
             np.multiply(model._payoff(x), lr[lo:hi], out=vals[lo:hi])
         _for_blocks(block, c, _block_rows(theta.dim))
         moments = merge_moments(moments, chunk_moments(vals))

@@ -107,7 +107,7 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
         levels = model.rarity_levels(batch.x)
         new_delta = rarity_delta(levels, n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
-        ev = evaluate_pilot(lambda x: model.rarity_payoff(new_delta, x), theta, batch)
+        ev = evaluate_pilot(lambda x: model.rarity_payoff(new_delta, x), batch)
         counts = (levels >= new_delta).sum(axis=0)
         theta = MixtureParam.uniform(mixture_update(ev, theta).means)
         delta = new_delta

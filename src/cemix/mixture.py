@@ -77,9 +77,11 @@ def min_tilt_distance(means) -> float:
 
 @dataclass
 class SampleBatch:
-    """Draws from a mixture."""
+    """Draws from a mixture with their weights under it."""
 
-    x: np.ndarray  # (n, d); kept as a batch: perfbench's tracer reads sample_mixture(...).x
+    x: np.ndarray           # (n, d); perfbench's tracer reads sample_mixture(...).x
+    lr: np.ndarray          # (n,), likelihood ratios, >= 0 (0 once underflowed)
+    posteriors: np.ndarray  # (n, m), C-ordered: the update's column-sum bits depend on it
 
 
 def _as_batch(x, dim: int) -> np.ndarray:
@@ -141,15 +143,6 @@ def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
     return out
 
 
-def lr_and_posterior(theta: MixtureParam, x):
-    """likelihood_ratio and posterior of one batch from one tilt pass.  The (n, m)
-    posteriors are row-major: the CE update's column sums round as for any such array."""
-    x = _as_batch(x, theta.dim)
-    lr, post = np.empty(len(x)), np.empty((len(x), theta.m))
-    _lr(theta, x, lr, post)
-    return lr, post
-
-
 def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
     """phi_d(x) / h_theta(x) = 1 / sum_j exp(t_j(x)); the unbiasedness
     correction factor.  Exactly 1 under the identity tilt; 0 once it
@@ -163,13 +156,18 @@ def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
 def posterior(theta: MixtureParam, x) -> np.ndarray:
     """(n, m) component posteriors h_theta(j | x) = exp(t_j) / sum_i exp(t_i);
     rows sum to 1."""
-    return lr_and_posterior(theta, x)[1]
+    x = _as_batch(x, theta.dim)
+    post = np.empty((len(x), theta.m))
+    _lr(theta, x, np.empty(len(x)), post)
+    return post
 
 
-def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.ndarray):
+def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.ndarray,
+               lr: np.ndarray, post: np.ndarray = None):
     """Rows [lo, lo + len(x)) of the n-row batch of sample_mixture, written into
-    the C-contiguous x.  Words [lo, hi) of the stream pick the components (none
-    drawn when m = 1); words n + [i*d, (i+1)*d) give row i by inverse-CDF normals."""
+    the C-contiguous x, and their _lr into lr (and post).  Words [lo, hi) of the
+    stream pick the components (none drawn when m = 1); words n + [i*d, (i+1)*d)
+    give row i by inverse-CDF normals."""
     labels = np.zeros(len(x), dtype=np.intp)
     if theta.m > 1:
         u = stream._fill(np.empty(len(x)), lo)
@@ -180,15 +178,16 @@ def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.nd
     step = max(1, 2 ** 16 // theta.dim)  # bounds the gathered-means temporary
     for i in range(0, len(x), step):
         x[i:i + step] += theta.means[labels[i:i + step]]
+    _lr(theta, x, lr, post)
 
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
-    """n iid draws from h_theta: _draw_rows over row blocks on the thread pool,
-    each block from its own words.  Parallel chunking hands chunk k the stream
-    with counter offset k."""
+    """n iid draws from h_theta with their likelihood ratios and posteriors:
+    _draw_rows over row blocks on the thread pool, each block from its own words.
+    Parallel chunking hands chunk k the stream with counter offset k."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.empty((n, theta.dim))
-    _for_blocks(lambda lo, hi: _draw_rows(theta, n, stream, lo, x[lo:hi]), n,
-                _block_rows(theta.dim))
-    return SampleBatch(x=x)
+    x, lr, post = np.empty((n, theta.dim)), np.empty(n), np.empty((n, theta.m))
+    _for_blocks(lambda lo, hi: _draw_rows(theta, n, stream, lo, x[lo:hi], lr[lo:hi],
+                                          post[lo:hi]), n, _block_rows(theta.dim))
+    return SampleBatch(x, lr, post)

@@ -23,19 +23,22 @@ from .numerics import _block_rows, _for_blocks, bisect_root, cholesky
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
 
 
-def _map_rows(model, x) -> np.ndarray:
-    """model._payoff over row blocks of x on the pool.  _payoff is a row kernel (row i
-    of its output depends on row i of x only) that calls only private helpers."""
-    x = _as_batch(x, model.dim)
-    out = np.empty(len(x))
-    def block(lo, hi):
-        out[lo:hi] = model._payoff(x[lo:hi])
-    _for_blocks(block, len(x), _block_rows(model.dim))
-    return out
+class Model:
+    """Base of the payoff models.  A model's _payoff is a row kernel (row i of its
+    output depends on row i of x only) that calls only private helpers."""
+
+    def payoff(self, x) -> np.ndarray:
+        """Payoffs of the rows of x: _payoff over row blocks on the pool."""
+        x = _as_batch(x, self.dim)
+        out = np.empty(len(x))
+        def block(lo, hi):
+            out[lo:hi] = self._payoff(x[lo:hi])
+        _for_blocks(block, len(x), _block_rows(self.dim))
+        return out
 
 
 @dataclass
-class TwoSidedTail:
+class TwoSidedTail(Model):
     """P{X >= a or X <= b} for scalar standard normal X, b < 0 < a."""
 
     a: float
@@ -49,8 +52,6 @@ class TwoSidedTail:
     def __post_init__(self):
         if not self.b < 0 < self.a:
             raise ConfigError("need b < 0 < a")
-
-    def payoff(self, x): return _map_rows(self, x)
 
     def _payoff(self, x):
         return ((x[:, 0] >= self.a) | (x[:, 0] <= self.b)).astype(float)
@@ -72,7 +73,7 @@ class TwoSidedTail:
 
 
 @dataclass
-class AsianCall:
+class AsianCall(Model):
     """Discretely monitored average-price call under geometric Brownian
     motion; input coordinates are the normalized Brownian increments."""
 
@@ -89,6 +90,8 @@ class AsianCall:
     default_components = 1
 
     def __post_init__(self):
+        if min(self.s0, self.sigma, self.maturity, self.strike) <= 0:
+            raise ConfigError("need s0, sigma, maturity and strike > 0")
         if self.times is None:
             self.times = self.maturity * np.arange(1, self.n_dates + 1) / self.n_dates
         self.times = np.asarray(self.times, dtype=float)
@@ -100,8 +103,6 @@ class AsianCall:
     @property
     def dim(self):
         return self.n_dates
-
-    def payoff(self, x): return _map_rows(self, x)
 
     def _payoff(self, x):
         drift = (self.r - 0.5 * self.sigma ** 2) * self.times
@@ -126,7 +127,7 @@ class AsianCall:
         return np.full((1, self.n_dates), a)
 
 
-class CorrelatedGbm:
+class CorrelatedGbm(Model):
     """Correlated geometric Brownian motion assets driven by N(0, I_d) inputs.
 
     Base of the dataclass models with s0, sigmas, corr, r and maturity
@@ -141,6 +142,8 @@ class CorrelatedGbm:
             if value.shape != self.s0.shape:
                 raise ConfigError(f"{name} has shape {value.shape}, s0 has {self.s0.shape}")
             setattr(self, name, value)
+        if not (self.maturity > 0 and np.all(self.s0 > 0) and np.all(self.sigmas > 0)):
+            raise ConfigError("need s0, sigmas and maturity > 0")
         self.corr = np.asarray(self.corr, dtype=float)
         if self.corr.shape != (self.dim, self.dim):
             raise ConfigError(f"corr must be {self.dim}x{self.dim}, got shape {self.corr.shape}")
@@ -176,12 +179,12 @@ class RainbowOption(CorrelatedGbm):
 
     def __post_init__(self):
         self._init_gbm()
+        if self.strike <= 0:
+            raise ConfigError("need strike > 0")
 
     @property
     def default_components(self):
         return self.dim
-
-    def payoff(self, x): return _map_rows(self, x)
 
     def _payoff(self, x):
         disc = np.exp(-self.r * self.maturity)
@@ -239,8 +242,6 @@ class PyramidOption(CorrelatedGbm):
     def default_components(self):
         return 2 ** self.dim
 
-    def payoff(self, x): return _map_rows(self, x)
-
     def _payoff(self, x):
         spread = np.abs(self._terminal_prices(x) - self.asset_strikes).sum(axis=1)
         return np.exp(-self.r * self.maturity) * np.maximum(spread - self.strike, 0.0)
@@ -266,7 +267,7 @@ class PyramidOption(CorrelatedGbm):
 
 
 @dataclass
-class CevDigital:
+class CevDigital(Model):
     """Digital option on the better of two correlated CEV assets.
 
     Both assets are simulated by Euler discretization of the driftless
@@ -301,6 +302,9 @@ class CevDigital:
             raise ConfigError("rho must lie in (-1, 1)")
         if self.n_steps < 1:
             raise ConfigError("need at least one Euler step")
+        if min(self.s0, self.h0, self.sigma1, self.sigma2, self.maturity, self.c1,
+               self.c2) <= 0 or self.strike < 0:
+            raise ConfigError("need s0, h0, sigma1, sigma2, maturity, c1, c2 > 0 and strike >= 0")
 
     @property
     def dim(self):
@@ -325,8 +329,6 @@ class CevDigital:
             ys = np.maximum(ys + cy * db, 0.0)
         grow = np.exp(self.r * self.maturity)
         return grow * xs, grow * ys
-
-    def payoff(self, x): return _map_rows(self, x)
 
     def _payoff(self, x):
         # undiscounted hit probability of the better asset reaching K

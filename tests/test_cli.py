@@ -382,6 +382,7 @@ class TestCliMain:
         ({"model": {**CEV_YAML, "n_steps": 2.5}, "init": {"method": "approx"}}, "'n_steps'"),
         ({"init": {"method": "perturbation", "m": 0}}, "m must be >= 1"),
         ({"model": {**ASIAN_YAML, "n_dates": 0}, "init": {"method": "approx"}}, "n_dates"),
+        ({"model": {**ASIAN_YAML, "s0": -50.0}, "init": {"method": "approx"}}, "s0"),
         ({"model": {**RAINBOW_YAML, "sigmas": [0.1, 0.15, 0.2]}, "init": {"method": "approx"}},
          "sigmas"),
         ({"model": {**RAINBOW_YAML, "corr": np.eye(3).tolist()}, "init": {"method": "approx"}},
@@ -399,9 +400,9 @@ class TestCliMain:
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
             "non_finite_means", "init_base_not_number", "init_scale_not_number",
             "model_param_not_number", "negative_weight_floor", "count_param_not_whole",
-            "init_m_zero", "asian_no_dates", "rainbow_sigmas_shape", "rainbow_corr_shape",
-            "pyramid_asset_strikes_shape", "rho_out_of_range_approx", "init_means_width",
-            "init_base_width", "max_stages_zero"])
+            "init_m_zero", "asian_no_dates", "asian_negative_s0", "rainbow_sigmas_shape",
+            "rainbow_corr_shape", "pyramid_asset_strikes_shape", "rho_out_of_range_approx",
+            "init_means_width", "init_base_width", "max_stages_zero"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG

@@ -274,7 +274,7 @@ class TestEvaluatePilot:
         model = TwoSidedTail(a=1.0, b=-1.5)
         theta = MixtureParam.uniform([[1.0], [-1.5]])
         batch = sample_mixture(theta, 500, RngStream(13))
-        ev = evaluate_pilot(model.payoff, theta, batch)
+        ev = evaluate_pilot(model.payoff, batch)
         assert ev.x.shape == (500, 1)
         assert set(np.unique(ev.payoff)) <= {0.0, 1.0}
         assert np.all(ev.lr > 0)
@@ -285,7 +285,7 @@ class TestEvaluatePilot:
         model = TwoSidedTail(a=2.0, b=-2.5)
         theta = MixtureParam([0.3, 0.7], [[2.2], [-2.7]])
         batch = sample_mixture(theta, 1000, RngStream(14))
-        ev = evaluate_pilot(model.payoff, theta, batch)
+        ev = evaluate_pilot(model.payoff, batch)
         np.testing.assert_array_equal(ev.lr, likelihood_ratio(theta, batch.x))
         np.testing.assert_array_equal(ev.posteriors, posterior(theta, batch.x))
 

@@ -14,7 +14,6 @@ from cemix.mixture import (
     _lr,
     likelihood_ratio,
     log_mixture_density,
-    lr_and_posterior,
     min_tilt_distance,
     posterior,
     sample_mixture,
@@ -194,7 +193,8 @@ class TestLikelihoodRatio:
     def test_row_blocks_do_not_move_bits(self, m, d, monkeypatch):
         # the fused estimators' lr over pool blocks and matmul sub-blocks, on
         # pools that place the blocks differently; a block start off the BLAS
-        # kernel unroll moves some rows' bits
+        # kernel unroll moves some rows' bits.  The sampler weights its blocks
+        # the same way: its lr and posteriors are those of one whole-batch pass.
         theta = random_theta(np.random.default_rng(m + d), m, d)
         n = 5 * _block_rows(d) + 7
         x = sample_mixture(theta, n, RngStream(10)).x
@@ -205,6 +205,10 @@ class TestLikelihoodRatio:
                 outs.append(np.empty(n))
                 _for_blocks(lambda lo, hi: _lr(theta, x[lo:hi], outs[-1][lo:hi]), n,
                             _block_rows(d))
+                batch = sample_mixture(theta, n, RngStream(10))
+            np.testing.assert_array_equal(batch.x, x)
+            np.testing.assert_array_equal(batch.lr, likelihood_ratio(theta, x))
+            np.testing.assert_array_equal(batch.posteriors, posterior(theta, x))
         np.testing.assert_array_equal(*outs)
 
 
@@ -218,14 +222,17 @@ class TestTiltSlices:
         log_joint = np.array([math.log(w) + log_component_density(a, x)
                               for w, a in zip(theta.weights, theta.means)])
         log_h = logsumexp(log_joint, axis=0)
-        lr, post = lr_and_posterior(theta, x)
+        lr, post = likelihood_ratio(theta, x), posterior(theta, x)
         np.testing.assert_allclose(log_mixture_density(theta, x), log_h, rtol=1e-12)
         np.testing.assert_allclose(lr, np.exp(log_component_density(np.zeros(d), x) - log_h),
                                    rtol=1e-9)
         np.testing.assert_allclose(post, np.exp(log_joint - log_h).T, rtol=1e-9, atol=1e-300)
         assert post.flags.c_contiguous
-        np.testing.assert_array_equal(likelihood_ratio(theta, x), lr)
-        np.testing.assert_array_equal(posterior(theta, x), post)
+        # one _lr pass that fills both, as the sampler's blocks do, gives the same bits
+        both_lr, both_post = np.empty(len(x)), np.empty((len(x), m))
+        _lr(theta, x, both_lr, both_post)
+        np.testing.assert_array_equal(both_lr, lr)
+        np.testing.assert_array_equal(both_post, post)
 
     def test_empty_batch(self):
         theta = MixtureParam([0.5, 0.5], [[1.0], [-1.0]])

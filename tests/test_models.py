@@ -11,10 +11,10 @@ from cemix.mixture import MixtureParam
 from cemix.models import (
     AsianCall,
     CevDigital,
+    Model,
     PyramidOption,
     RainbowOption,
     TwoSidedTail,
-    _map_rows,
 )
 from cemix.numerics import _block_rows, normal_cdf
 from cemix.rng import RngStream
@@ -154,6 +154,14 @@ class TestAsianCall:
             AsianCall(s0=50, r=0.05, sigma=0.3, maturity=1.0, n_dates=2,
                       strike=50, times=[0.5, 0.4])
 
+    @pytest.mark.parametrize("bad", [{"s0": -50.0}, {"strike": -5.0}, {"strike": 0.0},
+                                     {"sigma": 0.0}, {"maturity": 0.0}])
+    def test_parameter_ranges(self, bad):
+        # with a negative s0 or strike, approx_tilts' bracket search has no root to find
+        params = dict(s0=50.0, r=0.05, sigma=0.3, maturity=1.0, n_dates=30, strike=50.0)
+        with pytest.raises(ConfigError):
+            AsianCall(**{**params, **bad})
+
 
 class TestRainbowOption:
     def make2(self, strike=60.0):
@@ -194,6 +202,14 @@ class TestRainbowOption:
         with pytest.raises(ConfigError):
             RainbowOption(s0=[50.0], sigmas=[0.1], corr=[[0.9]], r=0.03,
                           maturity=1.0, strike=50.0)
+
+    @pytest.mark.parametrize("bad", [{"maturity": -1.0}, {"sigmas": [0.1, 0.0]},
+                                     {"s0": [50.0, -45.0]}, {"strike": 0.0}])
+    def test_parameter_ranges(self, bad):
+        params = dict(s0=[50.0, 45.0], sigmas=[0.1, 0.15], corr=[[1.0, 0.2], [0.2, 1.0]],
+                      r=0.03, maturity=1.0, strike=60.0)
+        with pytest.raises(ConfigError):
+            RainbowOption(**{**params, **bad})
 
     def test_membership_matches_prices(self):
         model = self.make2()
@@ -244,6 +260,14 @@ class TestPyramidOption:
             PyramidOption(s0=[50.0, 45.0], sigmas=[0.2, 0.25], asset_strikes=[55.0, 50.0],
                           corr=[[2.0, 0.3], [0.3, 2.0]], r=0.03, maturity=1.0,
                           strike=30.0)
+
+    @pytest.mark.parametrize("bad", [{"maturity": 0.0}, {"sigmas": [0.0, 0.25]},
+                                     {"s0": [0.0, 45.0]}])
+    def test_parameter_ranges(self, bad):
+        params = dict(s0=[50.0, 45.0], sigmas=[0.2, 0.25], asset_strikes=[55.0, 50.0],
+                      corr=[[1.0, 0.3], [0.3, 1.0]], r=0.03, maturity=1.0, strike=30.0)
+        with pytest.raises(ConfigError):
+            PyramidOption(**{**params, **bad})
 
     def test_component_count_and_cap(self):
         assert self.make2().default_components == 4
@@ -296,7 +320,7 @@ class TestCevDigital:
         s_t, h_t = cev_paths(model, x)
         for i, want in enumerate((s_t, h_t)):
             kernel = SimpleNamespace(dim=100, _payoff=lambda rows: model._euler(rows)[i])
-            np.testing.assert_array_equal(_map_rows(kernel, x), want)
+            np.testing.assert_array_equal(Model.payoff(kernel, x), want)
         np.testing.assert_array_equal(
             model.payoff(x), (np.maximum(s_t, h_t) >= model.strike).astype(float))
 
@@ -347,3 +371,11 @@ class TestCevDigital:
             self.make(rho=1.0)
         with pytest.raises(DimensionMismatch):
             self.make().payoff(np.zeros((1, 7)))
+
+    @pytest.mark.parametrize("bad", [{"maturity": 0.0}, {"sigma1": 0.0}, {"sigma2": -0.1},
+                                     {"strike": -1.0}, {"s0": -50.0}, {"h0": 0.0},
+                                     {"c1": 0.0}, {"c2": -1.0}])
+    def test_parameter_ranges(self, bad):
+        # strike 0 stays valid: test_trivial_strikes prices it
+        with pytest.raises(ConfigError):
+            self.make(**bad)
