@@ -12,6 +12,7 @@ rarity.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -102,8 +103,11 @@ def _check_output(path):
 
 
 def _write_csv(rows, path):
-    lines = [CSV_HEADER] + [r.csv_line() for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # csv quotes a field holding a comma, a quote or a line break, such as a label
+    with open(path, "w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(r.csv_fields() for r in rows)
 
 
 def cmd_run(args) -> int:

@@ -23,24 +23,6 @@ from .rng import RngStream
 
 
 @dataclass
-class PilotEvaluation(SampleBatch):
-    """One pilot batch with its payoffs."""
-
-    payoff: np.ndarray  # (n,), nonnegative
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        if not (self.payoff.shape == (n,) and self.lr.shape == (n,)
-                and self.posteriors.shape[0] == n):
-            raise ValueError("inconsistent pilot evaluation lengths")
-        if np.any(self.payoff < 0):
-            raise ValueError("payoffs must be nonnegative")
-        # an lr that underflows to 0 under a far tilt is a zero weight
-        if not np.all(np.isfinite(self.lr) & (self.lr >= 0)):
-            raise DegenerateUpdate("likelihood ratios must be finite and nonnegative")
-
-
-@dataclass
 class PilotConfig:
     """Pilot sample size N, shared by the CE iterations and the rarity stages."""
 
@@ -67,14 +49,9 @@ class IterationRecord:
     positive_payoffs: int
 
 
-def evaluate_pilot(payoff_fn, batch: SampleBatch) -> PilotEvaluation:
-    """The pilot batch, already weighted by the sampler, with its payoffs."""
-    return PilotEvaluation(**vars(batch), payoff=np.asarray(payoff_fn(batch.x), dtype=float))
-
-
-def mixture_update(ev: PilotEvaluation, theta_prev: MixtureParam,
+def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
                    weight_floor: float = DEFAULT_WEIGHT_FLOOR) -> MixtureParam:
-    """Closed-form mixture update from one pilot evaluation.
+    """Closed-form mixture update from one weighted pilot batch and its payoffs.
 
     With wp = posteriors * V*lr, the new weights are the column sums of wp
     over the total V*lr mass and the new means are wp.T @ x over those
@@ -84,27 +61,35 @@ def mixture_update(ev: PilotEvaluation, theta_prev: MixtureParam,
     zero, which the MixtureParam constructor rejects, so a tiny positive
     floor is applied in that case only where needed).
     """
-    w = ev.payoff * ev.lr
+    payoff = np.asarray(payoff, dtype=float)
+    n = batch.x.shape[0]
+    if not (payoff.shape == (n,) == batch.lr.shape and batch.posteriors.shape[0] == n):
+        raise ValueError("inconsistent pilot batch and payoff lengths")
+    if np.any(payoff < 0):
+        raise ValueError("payoffs must be nonnegative")
+    # an lr that underflows to 0 under a far tilt is a zero weight
+    if not np.all(np.isfinite(batch.lr) & (batch.lr >= 0)):
+        raise DegenerateUpdate("likelihood ratios must be finite and nonnegative")
+    w = payoff * batch.lr
     denom = w.sum()
     if not (np.isfinite(denom) and denom > 0):
         raise DegenerateUpdate(f"payoff-weighted mass is {denom}, not finite and positive")
-    wp = ev.posteriors * w[:, None]
+    wp = batch.posteriors * w[:, None]
     mass = wp.sum(axis=0)
     live = mass > 0
     means = np.array(theta_prev.means, copy=True)
-    means[live] = (wp.T @ ev.x)[live] / mass[live, None]
+    means[live] = (wp.T @ batch.x)[live] / mass[live, None]
     weights = np.maximum(mass / denom, max(weight_floor, 1e-300))
     return MixtureParam(weights / weights.sum(), means)
 
 
-def surrogate_objective(ev: PilotEvaluation, theta: MixtureParam) -> float:
+def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixtureParam) -> float:
     """Sampled CE objective (1/N) sum_k V*lr * log h_theta(X_k)."""
-    active = ev.payoff > 0
+    active = payoff > 0
     if not np.any(active):
         return 0.0
-    vals = (ev.payoff[active] * ev.lr[active]
-            * log_mixture_density(theta, ev.x[active]))
-    return float(vals.sum()) / ev.x.shape[0]
+    vals = payoff[active] * batch.lr[active] * log_mixture_density(theta, batch.x[active])
+    return float(vals.sum()) / batch.x.shape[0]
 
 
 def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
@@ -119,15 +104,15 @@ def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
     for it in range(1, cfg.iterations + 1):
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="pilot", iteration=it))
+        payoff = model.payoff(batch.x)
         try:
-            ev = evaluate_pilot(model.payoff, batch)
-            theta = mixture_update(ev, theta, cfg.weight_floor)
+            theta = mixture_update(batch, payoff, theta, cfg.weight_floor)
         except DegenerateUpdate as exc:
             raise DegenerateUpdate(str(exc), iteration=it) from exc
         trace.append(IterationRecord(
             iteration=it,
             theta=theta,
-            objective=surrogate_objective(ev, theta),
-            positive_payoffs=int(np.count_nonzero(ev.payoff > 0)),
+            objective=surrogate_objective(batch, payoff, theta),
+            positive_payoffs=int(np.count_nonzero(payoff > 0)),
         ))
     return theta, trace

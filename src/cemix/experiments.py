@@ -159,17 +159,16 @@ class ResultRow:
     config: ExperimentConfig = None
     trace: list = field(default=None, repr=False)
 
-    def csv_line(self) -> str:
+    def csv_fields(self) -> list:
+        """The row's CSV_HEADER fields as strings."""
         def fmt(v):
             return f"{v:.6g}"
 
         weights = ";".join(fmt(w) for w in self.weights)
         tilts = ";".join(" ".join(fmt(a) for a in row) for row in self.tilts)
-        return ",".join([
-            str(self.table), str(self.row), self.label,
-            fmt(self.estimate), fmt(self.std_error), fmt(self.rel_error),
-            fmt(self.var_ratio), weights, tilts, "|".join(self.flags),
-        ])
+        return [str(self.table), str(self.row), self.label,
+                fmt(self.estimate), fmt(self.std_error), fmt(self.rel_error),
+                fmt(self.var_ratio), weights, tilts, "|".join(self.flags)]
 
 
 def build_model(cfg: ExperimentConfig):

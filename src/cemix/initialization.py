@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PilotConfig, evaluate_pilot, mixture_update
+from .engine import PilotConfig, mixture_update
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
 from .mixture import MixtureParam, min_tilt_distance, sample_mixture
 from .models import require_init
@@ -107,9 +107,9 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
         levels = model.rarity_levels(batch.x)
         new_delta = rarity_delta(levels, n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
-        ev = evaluate_pilot(lambda x: model.rarity_payoff(new_delta, x), batch)
         counts = (levels >= new_delta).sum(axis=0)
-        theta = MixtureParam.uniform(mixture_update(ev, theta).means)
+        payoff = model.rarity_payoff(new_delta, batch.x)
+        theta = MixtureParam.uniform(mixture_update(batch, payoff, theta).means)
         delta = new_delta
         trace.append(RarityStageRecord(
             stage=stage + 1, delta=delta.copy(), theta=theta,

@@ -93,35 +93,26 @@ def _as_batch(x, dim: int) -> np.ndarray:
     return x
 
 
-def _tilts(theta: MixtureParam, x: np.ndarray) -> np.ndarray:
-    """(m, n) tilt matrix t_j(x) = alpha_j.x + log w_j - |alpha_j|^2 / 2.
+def _tilt_slices(theta: MixtureParam, x: np.ndarray):
+    """(rows, top, e, s) over _step-aligned row slices of x, from the (m, rows) tilt matrix
+    t_j(x) = alpha_j.x + log w_j - |alpha_j|^2 / 2: top is its per-sample max, e is
+    exp(t - top) written over t, and s the per-sample sum of e (>= 1).
 
     w_j phi_d(x - alpha_j) = phi_d(x) exp(t_j(x)), so the |x|^2 terms cancel and are
     never formed.  Components run along axis 0: per-sample reductions are elementwise.
-    """
+    Each tilt matmul takes at most 2^18 multiply-adds, which OpenBLAS runs on the calling
+    thread: none of its threads wakes to spin against the pool."""
     a = theta.means
-    t = a @ x.T
-    t += (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
-    return t
-
-
-def _shifted_exp(t: np.ndarray):
-    """Per-sample max of t, exp(t - max) written over t, and its per-sample
-    sum (>= 1)."""
-    top = t.max(axis=0)
-    t -= top
-    np.exp(t, out=t)
-    return top, t, t.sum(axis=0)
-
-
-def _tilt_slices(theta: MixtureParam, x: np.ndarray):
-    """(rows, top, e, s): the _tilts of x[rows] through _shifted_exp, over _step-aligned
-    row slices of x.  Each tilt matmul takes at most 2^18 multiply-adds, which OpenBLAS runs
-    on the calling thread: none of its threads wakes to spin against the pool."""
+    shift = (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
     step = _step(max(len(x), 1), max(1, 2 ** 18 // (theta.m * theta.dim)))
     for lo in range(0, len(x), step):
         rows = slice(lo, lo + step)
-        yield (rows, *_shifted_exp(_tilts(theta, x[rows])))
+        t = a @ x[rows].T
+        t += shift
+        top = t.max(axis=0)
+        t -= top
+        np.exp(t, out=t)
+        yield rows, top, t, t.sum(axis=0)
 
 
 def _lr(theta: MixtureParam, x: np.ndarray, lr: np.ndarray, post: np.ndarray = None):

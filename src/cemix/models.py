@@ -127,18 +127,23 @@ class AsianCall(Model):
         return np.full((1, self.n_dates), a)
 
 
+@dataclass
 class CorrelatedGbm(Model):
-    """Correlated geometric Brownian motion assets driven by N(0, I_d) inputs.
+    """Correlated geometric Brownian motion assets driven by N(0, I_d) inputs."""
 
-    Base of the dataclass models with s0, sigmas, corr, r and maturity
-    fields; their __post_init__ calls _init_gbm.
-    """
+    s0: np.ndarray
+    sigmas: np.ndarray
+    corr: np.ndarray
+    r: float
+    maturity: float
+    strike: float
 
-    def _init_gbm(self, *per_asset):
-        """Float arrays: sigmas and per_asset shaped like s0, corr (d, d)."""
-        self.s0 = np.asarray(self.s0, dtype=float)
-        for name in ("sigmas", *per_asset):
-            value = np.asarray(getattr(self, name), dtype=float)
+    per_asset = ("sigmas",)  # float arrays shaped like s0; a scalar is one asset
+
+    def __post_init__(self):
+        self.s0 = np.atleast_1d(np.asarray(self.s0, dtype=float))
+        for name in self.per_asset:
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if value.shape != self.s0.shape:
                 raise ConfigError(f"{name} has shape {value.shape}, s0 has {self.s0.shape}")
             setattr(self, name, value)
@@ -163,22 +168,14 @@ class CorrelatedGbm(Model):
         return self.s0 * np.exp(expo)
 
 
-@dataclass
 class RainbowOption(CorrelatedGbm):
     """Outperformance option (max_j S_T^(j) - K)^+ on correlated GBM assets."""
-
-    s0: np.ndarray
-    sigmas: np.ndarray
-    corr: np.ndarray
-    r: float
-    maturity: float
-    strike: float
 
     name = "rainbow"
     inits = ("perturbation", "rarity_ce", "approx")
 
     def __post_init__(self):
-        self._init_gbm()
+        super().__post_init__()
         if self.strike <= 0:
             raise ConfigError("need strike > 0")
 
@@ -221,19 +218,14 @@ class RainbowOption(CorrelatedGbm):
 class PyramidOption(CorrelatedGbm):
     """Pyramid option (sum_j |S_T^(j) - K_j| - K)^+ on correlated GBM assets."""
 
-    s0: np.ndarray
-    sigmas: np.ndarray
     asset_strikes: np.ndarray
-    corr: np.ndarray
-    r: float
-    maturity: float
-    strike: float
 
     name = "pyramid"
     inits = ("perturbation", "approx")
+    per_asset = ("sigmas", "asset_strikes")
 
     def __post_init__(self):
-        self._init_gbm("asset_strikes")
+        super().__post_init__()
         if self.dim > MAX_PYRAMID_ASSETS:
             raise ConfigError(
                 f"pyramid model capped at {MAX_PYRAMID_ASSETS} assets (2^d components)")

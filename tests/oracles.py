@@ -42,13 +42,13 @@ def permuted(theta: MixtureParam, perm) -> MixtureParam:
     return MixtureParam(theta.weights[perm], theta.means[perm])
 
 
-def basic_update(ev) -> np.ndarray:
+def basic_update(batch, payoff) -> np.ndarray:
     """The paper's single-component CE update: the V*lr-weighted sample mean
-    (w @ x) / sum(w), w = V*lr."""
-    w = ev.payoff * ev.lr
+    (w @ x) / sum(w), w = V*lr, of a pilot batch and its payoffs V."""
+    w = payoff * batch.lr
     if not w.sum() > 0:
         raise DegenerateUpdate("payoff-weighted mass is not positive")
-    return (w @ ev.x) / w.sum()
+    return (w @ batch.x) / w.sum()
 
 
 def serial_sample(theta: MixtureParam, n: int, stream):

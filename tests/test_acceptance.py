@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from cemix.engine import PilotEvaluation, mixture_update, run_ce, CeConfig
+from cemix.engine import mixture_update, run_ce, CeConfig
 from cemix.estimate import is_estimate, plain_mc_estimate
 from cemix.experiments import (
     ASIAN,
@@ -21,7 +21,13 @@ from cemix.experiments import (
     two_sided_config,
 )
 from cemix.initialization import RarityConfig, init_rarity_ce
-from cemix.mixture import MixtureParam, likelihood_ratio, posterior, sample_mixture
+from cemix.mixture import (
+    MixtureParam,
+    SampleBatch,
+    likelihood_ratio,
+    posterior,
+    sample_mixture,
+)
 from cemix.models import AsianCall, CevDigital, TwoSidedTail
 from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
@@ -134,14 +140,13 @@ def _random_pilot(rng):
     if not np.any(payoff > 0):
         payoff[0] = 1.0
     lr = rng.uniform(0.2, 5.0, n)
-    ev = PilotEvaluation(x=x, payoff=payoff, lr=lr, posteriors=posterior(theta, x))
-    return ev, theta
+    return SampleBatch(x=x, lr=lr, posteriors=posterior(theta, x)), payoff, theta
 
 
-def _surrogate(ev, theta):
+def _surrogate(batch, payoff, theta):
     from cemix.engine import surrogate_objective
 
-    return surrogate_objective(ev, theta)
+    return surrogate_objective(batch, payoff, theta)
 
 
 def test_criterion_8_property_suite():
@@ -149,23 +154,22 @@ def test_criterion_8_property_suite():
 
     # EM ascent of the sampled objective on 1000 random pilot evaluations
     for _ in range(1000):
-        ev, theta = _random_pilot(rng)
-        new = mixture_update(ev, theta, weight_floor=0.0)
-        j0, j1 = _surrogate(ev, theta), _surrogate(ev, new)
+        batch, payoff, theta = _random_pilot(rng)
+        new = mixture_update(batch, payoff, theta, weight_floor=0.0)
+        j0, j1 = _surrogate(batch, payoff, theta), _surrogate(batch, payoff, new)
         assert j1 >= j0 - 1e-9 * abs(j0) - 1e-12
 
     # single-component update reduces exactly to the basic update
-    ev, _ = _random_pilot(np.random.default_rng(7))
-    ev1 = PilotEvaluation(x=ev.x, payoff=ev.payoff, lr=ev.lr,
-                          posteriors=np.ones((ev.x.shape[0], 1)))
-    got = mixture_update(ev1, MixtureParam.single(np.zeros(ev.x.shape[1])),
+    batch, payoff, _ = _random_pilot(np.random.default_rng(7))
+    batch1 = SampleBatch(x=batch.x, lr=batch.lr, posteriors=np.ones((batch.x.shape[0], 1)))
+    got = mixture_update(batch1, payoff, MixtureParam.single(np.zeros(batch.x.shape[1])),
                          weight_floor=0.0)
-    np.testing.assert_array_equal(got.means[0], basic_update(ev1))
+    np.testing.assert_array_equal(got.means[0], basic_update(batch1, payoff))
 
     # posterior rows normalize to machine precision
     for _ in range(50):
-        ev, theta = _random_pilot(rng)
-        assert np.max(np.abs(ev.posteriors.sum(axis=1) - 1.0)) <= 1e-12
+        batch, _, theta = _random_pilot(rng)
+        assert np.max(np.abs(batch.posteriors.sum(axis=1) - 1.0)) <= 1e-12
 
     # likelihood ratios average to one under the mixture
     theta = MixtureParam([0.3, 0.7], [[1.5, 0.0], [-1.0, 2.0]])
@@ -174,21 +178,18 @@ def test_criterion_8_property_suite():
     assert abs(lr.mean() - 1.0) <= 4 * lr.std(ddof=1) / math.sqrt(lr.size)
 
     # permutation equivariance of the mixture update
-    ev, theta = _random_pilot(np.random.default_rng(8))
+    batch, payoff, theta = _random_pilot(np.random.default_rng(8))
     if theta.m > 1:
         perm = np.random.default_rng(9).permutation(theta.m)
-        ev_p = PilotEvaluation(x=ev.x, payoff=ev.payoff, lr=ev.lr,
-                               posteriors=ev.posteriors[:, perm])
-        a = mixture_update(ev, theta)
-        b = mixture_update(ev_p, permuted(theta, perm))
+        batch_p = SampleBatch(x=batch.x, lr=batch.lr, posteriors=batch.posteriors[:, perm])
+        a = mixture_update(batch, payoff, theta)
+        b = mixture_update(batch_p, payoff, permuted(theta, perm))
         np.testing.assert_allclose(b.means, a.means[perm], rtol=1e-12)
         np.testing.assert_allclose(b.weights, a.weights[perm], rtol=1e-12)
 
     # payoff-scale invariance
-    scaled = PilotEvaluation(x=ev.x, payoff=42.0 * ev.payoff, lr=ev.lr,
-                             posteriors=ev.posteriors)
-    a = mixture_update(ev, theta)
-    b = mixture_update(scaled, theta)
+    a = mixture_update(batch, payoff, theta)
+    b = mixture_update(batch, 42.0 * payoff, theta)
     np.testing.assert_allclose(a.means, b.means, rtol=1e-12)
 
     # rarity parameters grow monotonically stage over stage

@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -129,15 +130,14 @@ class TestExperiments:
         b = run_experiment(cfg)
         assert a.estimate == b.estimate and a.std_error == b.std_error
         np.testing.assert_array_equal(a.tilts, b.tilts)
-        assert a.csv_line() == b.csv_line()
+        assert a.csv_fields() == b.csv_fields()
 
     def test_csv_line_fields(self):
         cfg = ExperimentConfig(
             model="two_sided_tail", model_params=dict(a=1.0, b=-1.5),
             init={"method": "approx"}, pilot_size=5000, iterations=2,
             n_final=10000, seed=1, table=3, row=0, label="a=1 b=-1.5")
-        line = run_experiment(cfg).csv_line()
-        fields = line.split(",")
+        fields = run_experiment(cfg).csv_fields()
         assert len(fields) == len(CSV_HEADER.split(","))
         assert fields[0] == "3" and fields[2] == "a=1 b=-1.5"
         assert ";" in fields[8]
@@ -259,13 +259,39 @@ class TestCliMain:
         assert "two_sided_tail" in out and "init methods" in out
 
     def test_run_verb_with_csv(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.yaml")
+        # a comma in the label is quoted, so the row keeps its 10 fields
+        cfg = write_config(tmp_path / "cfg.yaml", label="K=50, fast")
         out_csv = tmp_path / "result.csv"
         assert main(["run", str(cfg), "--output", str(out_csv)]) == 0
         echoed = capsys.readouterr().out
         assert echoed.startswith("# model=two_sided_tail")
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 2
+        row = list(csv.reader(lines))[1]
+        assert len(row) == len(CSV_HEADER.split(",")) and row[2] == "K=50, fast"
+
+    @pytest.mark.parametrize("section", [{"name": "rainbow", "strike": 55.0},
+                                         {"name": "pyramid", "asset_strikes": 52.0,
+                                          "strike": 5.0}], ids=["rainbow", "pyramid"])
+    def test_one_asset_scalars_run_as_lists(self, tmp_path, section):
+        # a scalar s0, sigmas or asset_strikes is one asset, like a one-entry list
+        scalar = {**section, "s0": 50.0, "sigmas": 0.2, "corr": [[1.0]], "r": 0.03,
+                  "maturity": 1.0}
+        listed = {k: [v] if k in ("s0", "sigmas", "asset_strikes") else v
+                  for k, v in scalar.items()}
+        cls = MODEL_REGISTRY[section["name"]]
+        tilts = [cls(**{k: v for k, v in params.items() if k != "name"}).approx_tilts()
+                 for params in (scalar, listed)]
+        np.testing.assert_array_equal(*tilts)
+        rows = []
+        for params in (scalar, listed):
+            out_csv = tmp_path / "out.csv"
+            cfg = write_config(tmp_path / "cfg.yaml", model=params, init={"method": "approx"},
+                               ce={"pilot_size": 2000, "iterations": 2},
+                               sampling={"n": 20000, "seed": 3})
+            assert main(["run", str(cfg), "--output", str(out_csv)]) == 0
+            rows.append(out_csv.read_text())
+        assert rows[0] == rows[1]
 
     def test_run_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml")

@@ -4,28 +4,27 @@ import numpy as np
 import pytest
 
 from cemix import experiments
-from cemix.engine import (
-    CeConfig,
-    PilotEvaluation,
-    evaluate_pilot,
-    mixture_update,
-    run_ce,
-    surrogate_objective,
-)
+from cemix.engine import CeConfig, mixture_update, run_ce, surrogate_objective
 from cemix.errors import DegenerateUpdate
 from cemix.experiments import ExperimentConfig, run_experiment
-from cemix.mixture import MixtureParam, likelihood_ratio, posterior, sample_mixture
+from cemix.mixture import (
+    MixtureParam,
+    SampleBatch,
+    likelihood_ratio,
+    posterior,
+    sample_mixture,
+)
 from cemix.models import TwoSidedTail
 from cemix.rng import RngStream
 from oracles import basic_update, normals, permuted
 
 
 def make_eval(x, payoff, lr=None, theta=None):
+    """(batch, payoff) of a pilot with these draws, payoffs and likelihood ratios."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    payoff = np.asarray(payoff, dtype=float)
     lr = np.ones(x.shape[0]) if lr is None else np.asarray(lr, dtype=float)
     post = posterior(theta, x) if theta is not None else np.ones((x.shape[0], 1))
-    return PilotEvaluation(x=x, payoff=payoff, lr=lr, posteriors=post)
+    return SampleBatch(x=x, lr=lr, posteriors=post), np.asarray(payoff, dtype=float)
 
 
 def random_eval(rng, n=200, m=3, d=2):
@@ -34,55 +33,53 @@ def random_eval(rng, n=200, m=3, d=2):
     x = rng.standard_normal((n, d)) + rng.choice(theta.means, n)
     payoff = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
     lr = rng.uniform(0.5, 2.0, n)
-    return make_eval(x, payoff, lr, theta), theta
+    return (*make_eval(x, payoff, lr, theta), theta)
 
 
 class TestBasicUpdate:
     def test_single_sample(self):
-        ev = make_eval([[2.0, -1.0]], [3.0])
-        np.testing.assert_allclose(basic_update(ev), [2.0, -1.0])
+        np.testing.assert_allclose(basic_update(*make_eval([[2.0, -1.0]], [3.0])), [2.0, -1.0])
 
     def test_plain_mean_when_flat(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((500, 2))
-        ev = make_eval(x, np.ones(500))
-        np.testing.assert_allclose(basic_update(ev), x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(basic_update(*make_eval(x, np.ones(500))), x.mean(axis=0),
+                                   rtol=1e-12)
 
     def test_hand_computed(self):
-        ev = make_eval([[1.0], [2.0], [3.0]], [1.0, 0.0, 2.0], [0.5, 9.9, 1.0])
+        pilot = make_eval([[1.0], [2.0], [3.0]], [1.0, 0.0, 2.0], [0.5, 9.9, 1.0])
         # weights V*lr = (0.5, 0, 2) -> mean (0.5*1 + 2*3) / 2.5 = 2.6
-        np.testing.assert_allclose(basic_update(ev), [2.6], rtol=1e-14)
+        np.testing.assert_allclose(basic_update(*pilot), [2.6], rtol=1e-14)
 
     def test_all_zero_payoff_degenerate(self):
-        ev = make_eval([[1.0], [2.0]], [0.0, 0.0])
+        pilot = make_eval([[1.0], [2.0]], [0.0, 0.0])
         with pytest.raises(DegenerateUpdate):
-            basic_update(ev)
+            basic_update(*pilot)
 
     def test_exponential_payoff_tilts_toward_c(self):
         # V = e^{c x} under f gives weighted mean -> c as n grows
         c, n = 1.5, 400_000
         x = normals(RngStream(1), n, 1)
         v = np.exp(c * x[:, 0])
-        ev = make_eval(x, v)
         w = v / v.sum()
-        est = basic_update(ev)[0]
+        est = basic_update(*make_eval(x, v))[0]
         se = math.sqrt(float(np.sum(w**2 * (x[:, 0] - est) ** 2)))
         assert abs(est - c) <= 4 * se
 
 
-def fsum_update(ev, theta_prev, weight_floor):
+def fsum_update(batch, payoff, theta_prev, weight_floor):
     """Reference update: one compensated sum per component and coordinate."""
-    w = ev.payoff * ev.lr
+    w = payoff * batch.lr
     denom = math.fsum(w)
-    m = ev.posteriors.shape[1]
+    m = batch.posteriors.shape[1]
     weights = np.empty(m)
     means = np.array(theta_prev.means, copy=True)
     for j in range(m):
-        wj = w * ev.posteriors[:, j]
+        wj = w * batch.posteriors[:, j]
         mass = math.fsum(wj)
         weights[j] = mass / denom
         if mass > 0:
-            means[j] = [math.fsum(wj * ev.x[:, k]) / mass for k in range(ev.x.shape[1])]
+            means[j] = [math.fsum(wj * batch.x[:, k]) / mass for k in range(batch.x.shape[1])]
     weights = np.maximum(weights, max(weight_floor, 1e-300))
     return weights / weights.sum(), means
 
@@ -93,10 +90,10 @@ class TestMixtureUpdate:
         # ulps of double rounding, far above the ~1e-15 seen
         rng = np.random.default_rng(15)
         for _ in range(20):
-            ev, theta = random_eval(rng, n=2000, m=int(rng.integers(1, 5)),
-                                    d=int(rng.integers(1, 6)))
-            got = mixture_update(ev, theta, weight_floor=1e-3)
-            weights, means = fsum_update(ev, theta, 1e-3)
+            batch, payoff, theta = random_eval(rng, n=2000, m=int(rng.integers(1, 5)),
+                                               d=int(rng.integers(1, 6)))
+            got = mixture_update(batch, payoff, theta, weight_floor=1e-3)
+            weights, means = fsum_update(batch, payoff, theta, 1e-3)
             np.testing.assert_allclose(got.weights, weights, rtol=1e-12)
             np.testing.assert_allclose(got.means, means, rtol=1e-12, atol=1e-14)
 
@@ -105,10 +102,10 @@ class TestMixtureUpdate:
         x = rng.standard_normal((300, 3))
         payoff = rng.uniform(0, 1, 300)
         lr = rng.uniform(0.5, 2.0, 300)
-        ev = make_eval(x, payoff, lr)
+        batch, payoff = make_eval(x, payoff, lr)
         theta_prev = MixtureParam.single(np.zeros(3))
-        updated = mixture_update(ev, theta_prev, weight_floor=0.0)
-        np.testing.assert_array_equal(updated.means[0], basic_update(ev))
+        updated = mixture_update(batch, payoff, theta_prev, weight_floor=0.0)
+        np.testing.assert_array_equal(updated.means[0], basic_update(batch, payoff))
         np.testing.assert_array_equal(updated.weights, [1.0])
 
     def test_hand_computed_two_components(self):
@@ -116,9 +113,9 @@ class TestMixtureUpdate:
         payoff = np.array([1.0, 2.0, 1.0, 1.0])
         lr = np.array([1.0, 0.5, 1.0, 2.0])
         post = np.array([[1.0, 0.0], [0.8, 0.2], [0.0, 1.0], [0.1, 0.9]])
-        ev = PilotEvaluation(x=x, payoff=payoff, lr=lr, posteriors=post)
+        batch = SampleBatch(x=x, lr=lr, posteriors=post)
         theta_prev = MixtureParam([0.5, 0.5], [[1.0], [-1.0]])
-        got = mixture_update(ev, theta_prev, weight_floor=0.0)
+        got = mixture_update(batch, payoff, theta_prev, weight_floor=0.0)
         # v*lr = (1, 1, 1, 2) with total mass 5
         w1 = (1.0 * 1.0 + 1.0 * 0.8 + 2.0 * 0.1)
         w2 = (1.0 * 0.2 + 1.0 * 1.0 + 2.0 * 0.9)
@@ -129,38 +126,35 @@ class TestMixtureUpdate:
 
     def test_payoff_scale_invariance(self):
         rng = np.random.default_rng(2)
-        ev, theta = random_eval(rng)
-        scaled = PilotEvaluation(x=ev.x, payoff=137.0 * ev.payoff, lr=ev.lr,
-                                 posteriors=ev.posteriors)
-        a = mixture_update(ev, theta)
-        b = mixture_update(scaled, theta)
+        batch, payoff, theta = random_eval(rng)
+        a = mixture_update(batch, payoff, theta)
+        b = mixture_update(batch, 137.0 * payoff, theta)
         np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12)
         np.testing.assert_allclose(a.means, b.means, rtol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
-        ev, theta = random_eval(rng)
+        batch, payoff, theta = random_eval(rng)
         perm = np.array([2, 0, 1])
-        ev_p = PilotEvaluation(x=ev.x, payoff=ev.payoff, lr=ev.lr,
-                               posteriors=ev.posteriors[:, perm])
-        a = mixture_update(ev, theta)
-        b = mixture_update(ev_p, permuted(theta, perm))
+        batch_p = SampleBatch(x=batch.x, lr=batch.lr, posteriors=batch.posteriors[:, perm])
+        a = mixture_update(batch, payoff, theta)
+        b = mixture_update(batch_p, payoff, permuted(theta, perm))
         np.testing.assert_allclose(b.weights, a.weights[perm], rtol=1e-12)
         np.testing.assert_allclose(b.means, a.means[perm], rtol=1e-12)
 
     def test_weights_normalized_and_floored(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            ev, theta = random_eval(rng)
-            got = mixture_update(ev, theta, weight_floor=1e-3)
+            batch, payoff, theta = random_eval(rng)
+            got = mixture_update(batch, payoff, theta, weight_floor=1e-3)
             assert abs(got.weights.sum() - 1.0) <= 1e-12
             assert np.all(got.weights >= 1e-3 / (1.0 + 1e-3 * theta.m))
 
     def test_means_in_sample_hull(self):
         rng = np.random.default_rng(5)
-        ev, theta = random_eval(rng, d=1)
-        got = mixture_update(ev, theta)
-        active = ev.x[ev.payoff > 0, 0]
+        batch, payoff, theta = random_eval(rng, d=1)
+        got = mixture_update(batch, payoff, theta)
+        active = batch.x[payoff > 0, 0]
         assert np.all(got.means[:, 0] >= active.min() - 1e-12)
         assert np.all(got.means[:, 0] <= active.max() + 1e-12)
 
@@ -168,42 +162,41 @@ class TestMixtureUpdate:
         # all payoff mass is posterior-assigned to component 0
         x = np.array([[1.0], [2.0]])
         post = np.array([[1.0, 0.0], [1.0, 0.0]])
-        ev = PilotEvaluation(x=x, payoff=np.ones(2), lr=np.ones(2), posteriors=post)
+        batch = SampleBatch(x=x, lr=np.ones(2), posteriors=post)
         theta_prev = MixtureParam([0.5, 0.5], [[0.0], [-7.0]])
-        got = mixture_update(ev, theta_prev, weight_floor=1e-4)
+        got = mixture_update(batch, np.ones(2), theta_prev, weight_floor=1e-4)
         assert got.means[1, 0] == -7.0
         assert got.weights[1] == pytest.approx(1e-4 / (1.0 + 1e-4), rel=1e-10)
 
     def test_degenerate(self):
-        ev = make_eval([[1.0], [2.0]], [0.0, 0.0])
+        batch, payoff = make_eval([[1.0], [2.0]], [0.0, 0.0])
         with pytest.raises(DegenerateUpdate):
-            mixture_update(ev, MixtureParam.single([0.0]))
+            mixture_update(batch, payoff, MixtureParam.single([0.0]))
 
 
 class TestSurrogateObjective:
     def test_zero_payoff(self):
-        ev = make_eval([[1.0]], [0.0])
-        assert surrogate_objective(ev, MixtureParam.single([0.0])) == 0.0
+        batch, payoff = make_eval([[1.0]], [0.0])
+        assert surrogate_objective(batch, payoff, MixtureParam.single([0.0])) == 0.0
 
     def test_flat_payoff_mean_log_density(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((100, 1))
-        ev = make_eval(x, np.ones(100))
+        batch, payoff = make_eval(x, np.ones(100))
         theta = MixtureParam.single([0.0])
         expect = np.mean(-0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi))
-        assert abs(surrogate_objective(ev, theta) - expect) <= 1e-12
+        assert abs(surrogate_objective(batch, payoff, theta) - expect) <= 1e-12
 
     def test_em_ascent(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            ev, theta = random_eval(rng)
-            if not np.any(ev.payoff * ev.lr > 0):
+            batch, payoff, theta = random_eval(rng)
+            if not np.any(payoff * batch.lr > 0):
                 continue
-            ev = PilotEvaluation(x=ev.x, payoff=ev.payoff, lr=ev.lr,
-                                 posteriors=posterior(theta, ev.x))
-            new = mixture_update(ev, theta, weight_floor=0.0)
-            j0 = surrogate_objective(ev, theta)
-            j1 = surrogate_objective(ev, new)
+            batch = SampleBatch(x=batch.x, lr=batch.lr, posteriors=posterior(theta, batch.x))
+            new = mixture_update(batch, payoff, theta, weight_floor=0.0)
+            j0 = surrogate_objective(batch, payoff, theta)
+            j1 = surrogate_objective(batch, payoff, new)
             assert j1 >= j0 - 1e-9 * abs(j0) - 1e-12
 
 
@@ -274,33 +267,40 @@ class TestEvaluatePilot:
         model = TwoSidedTail(a=1.0, b=-1.5)
         theta = MixtureParam.uniform([[1.0], [-1.5]])
         batch = sample_mixture(theta, 500, RngStream(13))
-        ev = evaluate_pilot(model.payoff, batch)
-        assert ev.x.shape == (500, 1)
-        assert set(np.unique(ev.payoff)) <= {0.0, 1.0}
-        assert np.all(ev.lr > 0)
-        assert np.max(np.abs(ev.posteriors.sum(axis=1) - 1.0)) <= 1e-12
+        payoff = model.payoff(batch.x)
+        assert batch.x.shape == (500, 1)
+        assert set(np.unique(payoff)) <= {0.0, 1.0}
+        assert np.all(batch.lr > 0)
+        assert np.max(np.abs(batch.posteriors.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_matches_separate_evaluations(self):
         # one shared log-joint gives the same bits as two separate passes
         model = TwoSidedTail(a=2.0, b=-2.5)
         theta = MixtureParam([0.3, 0.7], [[2.2], [-2.7]])
         batch = sample_mixture(theta, 1000, RngStream(14))
-        ev = evaluate_pilot(model.payoff, batch)
-        np.testing.assert_array_equal(ev.lr, likelihood_ratio(theta, batch.x))
-        np.testing.assert_array_equal(ev.posteriors, posterior(theta, batch.x))
+        np.testing.assert_array_equal(batch.lr, likelihood_ratio(theta, batch.x))
+        np.testing.assert_array_equal(batch.posteriors, posterior(theta, batch.x))
 
     def test_lr_range(self):
         # an underflowed lr of 0 is a zero weight; a negative or non-finite
-        # one is a degenerate pilot
-        ev = PilotEvaluation(x=np.zeros((2, 1)), payoff=np.ones(2),
-                             lr=np.array([0.0, 1.0]), posteriors=np.ones((2, 1)))
-        assert mixture_update(ev, MixtureParam.single([0.0])).weights[0] == 1.0
+        # one is a degenerate pilot; payoffs or posteriors of another length
+        # than the draws are an inconsistent one
+        theta = MixtureParam.single([0.0])
+        batch = SampleBatch(x=np.zeros((2, 1)), lr=np.array([0.0, 1.0]),
+                            posteriors=np.ones((2, 1)))
+        assert mixture_update(batch, np.ones(2), theta).weights[0] == 1.0
         for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(DegenerateUpdate):
-                PilotEvaluation(x=np.zeros((2, 1)), payoff=np.ones(2),
-                                lr=np.array([bad, 1.0]), posteriors=np.ones((2, 1)))
+                mixture_update(SampleBatch(x=np.zeros((2, 1)), lr=np.array([bad, 1.0]),
+                                           posteriors=np.ones((2, 1))), np.ones(2), theta)
+        with pytest.raises(ValueError):
+            mixture_update(batch, np.ones(3), theta)
+        with pytest.raises(ValueError):
+            mixture_update(SampleBatch(x=batch.x, lr=batch.lr, posteriors=np.ones((3, 1))),
+                           np.ones(2), theta)
 
     def test_rejects_negative_payoff(self):
         with pytest.raises(ValueError):
-            PilotEvaluation(x=np.zeros((1, 1)), payoff=np.array([-1.0]),
-                            lr=np.ones(1), posteriors=np.ones((1, 1)))
+            mixture_update(SampleBatch(x=np.zeros((1, 1)), lr=np.ones(1),
+                                       posteriors=np.ones((1, 1))),
+                           np.array([-1.0]), MixtureParam.single([0.0]))
