@@ -26,8 +26,8 @@ from .experiments import (
     field_types,
     list_models,
     reject_unknown,
-    reproduce_table,
     run_experiment,
+    table_configs,
 )
 
 EXIT_CONFIG = 2
@@ -110,27 +110,26 @@ def _write_csv(rows, path):
         writer.writerows(r.csv_fields() for r in rows)
 
 
+def _run(configs, path) -> int:
+    """Echo and run each config, then print the rows and write them to the CSV path."""
+    _check_output(path)
+    rows = []
+    for cfg in configs:
+        _echo_config(cfg)
+        rows.append(run_experiment(cfg))
+    _print_rows(rows)
+    if path:
+        _write_csv(rows, path)
+    return 0
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    out_path = args.output or cfg.output
-    _check_output(out_path)
-    _echo_config(cfg)
-    row = run_experiment(cfg)
-    _print_rows([row])
-    if out_path:
-        _write_csv([row], out_path)
-    return 0
+    return _run([cfg], args.output or cfg.output)
 
 
 def cmd_table(args) -> int:
-    _check_output(args.output)
-    rows = reproduce_table(args.table_id, seed=args.seed)
-    for row in rows:
-        _echo_config(row.config)
-    _print_rows(rows)
-    if args.output:
-        _write_csv(rows, args.output)
-    return 0
+    return _run(table_configs(args.table_id, seed=args.seed), args.output)
 
 
 def cmd_models(args) -> int:

@@ -16,6 +16,7 @@ from .rng import RngStream
 # marks a deceptive, under-covered run
 LR_CONCENTRATION_SHARE = 0.10
 
+# rows per chunk of is_estimate; every result depends on it
 _CHUNK = 200_000
 
 
@@ -53,14 +54,13 @@ def merge_moments(a, b):
     return n, mean_a + delta * (n_b / n), m2
 
 
-def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
-                chunk_size: int = _CHUNK) -> EstimateReport:
+def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> EstimateReport:
     """Mean and standard error of V(X) * lr(X) over n draws from the mixture.
 
-    Chunk k takes the rows of sample_mixture(theta, c, stream with counter
-    offset k), so a run is reproducible for a fixed chunk size.  Each row block
-    of a chunk is drawn and weighted by _draw_rows and priced by model._payoff
-    on the thread pool, with no (c, d) array.  The chunks' chunk_moments are
+    Chunk k takes the c rows of sample_mixture(theta, c, stream with counter
+    offset k), c = _CHUNK but for a shorter last chunk.  Each row block of a
+    chunk is drawn and weighted by _draw_rows and priced by model._payoff on
+    the thread pool, with no (c, d) array.  The chunks' chunk_moments are
     merged in chunk order by merge_moments.
     """
     if n < 2:
@@ -69,8 +69,8 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream,
         raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta.dim}")
     moments = (0, 0.0, 0.0)
     min_lr, max_lr, max_val = np.inf, -np.inf, 0.0
-    for k, start in enumerate(range(0, n, chunk_size)):
-        c = min(chunk_size, n - start)
+    for k, start in enumerate(range(0, n, _CHUNK)):
+        c = min(_CHUNK, n - start)
         sub = stream.child(counter=stream.counter + k)
         lr, vals = np.empty(c), np.empty(c)
         def block(lo, hi):

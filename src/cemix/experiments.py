@@ -62,7 +62,7 @@ def field_types(cls) -> dict:
 
 def coerce(name: str, annotation, value):
     """value read as `annotation`, the type of the config field `name`: int a
-    whole number (YAML's 1.0e4 too), float a finite real, np.ndarray a finite
+    whole number (10000 or YAML's 1.0e+4), float a finite real, np.ndarray a finite
     numeric array or scalar, str and dict by isinstance.  A bool or a string
     is never a number; None passes where the annotation is `X | None`."""
     kind, *rest = get_args(annotation) or (annotation,)

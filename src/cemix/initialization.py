@@ -48,24 +48,23 @@ class RarityStageRecord:
 
 def init_perturbation(m: int, base, scale: float, stream: RngStream,
                       dim: int = None) -> MixtureParam:
-    """Equal weights 1/m with means base + uniform(-scale, scale)^d noise.
+    """Equal weights 1/m with means base + uniform(-scale, scale)^d noise, the
+    noise from words [0, m*d) of the stream.
 
-    Perturbations are redrawn until all means are pairwise distinct;
-    identical initial tilts would stay identical through every update.
+    Identical initial tilts would stay identical through every update, so
+    means that are not pairwise distinct raise ConfigError.
     """
     base = np.atleast_1d(np.asarray(base, dtype=float))
     if dim is not None and base.size == 1:
         base = np.full(dim, base[0])
     if m > 1 and scale <= 0:
         raise ConfigError("m > 1 needs scale > 0 to keep initial tilts distinct")
-    gen = stream.generator()
-    for _ in range(100):
-        eps = gen.uniform(-scale, scale, size=(m, base.size)) if scale > 0 \
-            else np.zeros((m, base.size))
-        means = base[None, :] + eps
-        if min_tilt_distance(means) > 0:
-            return MixtureParam.uniform(means)
-    raise ConfigError("could not draw pairwise-distinct perturbations")
+    u = np.empty((m, base.size))
+    stream._fill(u.reshape(-1), 0)
+    means = base + (-scale + 2 * scale * u)
+    if not min_tilt_distance(means) > 0:  # also a NaN from an overflowed mean
+        raise ConfigError("perturbed means are not pairwise distinct")
+    return MixtureParam.uniform(means)
 
 
 def init_approx(model) -> MixtureParam:
@@ -105,6 +104,9 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="init", iteration=stream.iteration + stage))
         levels = model.rarity_levels(batch.x)
+        if levels.shape[1] != m:
+            raise ConfigError(f"rarity_ce needs one component per rarity level: "
+                              f"{levels.shape[1]}, got {m}")
         new_delta = rarity_delta(levels, n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
         counts = (levels >= new_delta).sum(axis=0)

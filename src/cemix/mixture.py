@@ -107,11 +107,13 @@ def _tilt_slices(theta: MixtureParam, x: np.ndarray):
     step = _step(max(len(x), 1), max(1, 2 ** 18 // (theta.m * theta.dim)))
     for lo in range(0, len(x), step):
         rows = slice(lo, lo + step)
-        t = a @ x[rows].T
-        t += shift
-        top = t.max(axis=0)
-        t -= top
-        np.exp(t, out=t)
+        # a far tilt overflows to a non-finite lr here, which mixture_update rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = a @ x[rows].T
+            t += shift
+            top = t.max(axis=0)
+            t -= top
+            np.exp(t, out=t)
         yield rows, top, t, t.sum(axis=0)
 
 
@@ -174,8 +176,7 @@ def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.nd
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
     """n iid draws from h_theta with their likelihood ratios and posteriors:
-    _draw_rows over row blocks on the thread pool, each block from its own words.
-    Parallel chunking hands chunk k the stream with counter offset k."""
+    _draw_rows over row blocks on the thread pool, each block from its own words."""
     if n < 1:
         raise ValueError("n must be >= 1")
     x, lr, post = np.empty((n, theta.dim)), np.empty(n), np.empty((n, theta.m))

@@ -167,6 +167,16 @@ class CorrelatedGbm(Model):
             + self.sigmas * np.sqrt(self.maturity) * cx
         return self.s0 * np.exp(expo)
 
+    def _log_moves(self, target):
+        """Per asset, the standardized log move (log(target/s0) - rT)/(sigma sqrt(T))
+        of the driving normal that sets the mean terminal price to target."""
+        return (np.log(target / self.s0) - self.r * self.maturity) \
+            / (self.sigmas * np.sqrt(self.maturity))
+
+    def _tilts_to(self, moves):
+        """Input-space tilts whose correlated moves (chol @ tilt) are the rows of moves."""
+        return np.array([solve_triangular(self.chol, row, lower=True) for row in moves])
+
 
 class RainbowOption(CorrelatedGbm):
     """Outperformance option (max_j S_T^(j) - K)^+ on correlated GBM assets."""
@@ -204,14 +214,7 @@ class RainbowOption(CorrelatedGbm):
 
     def approx_tilts(self):
         """One tilt per asset, lifting that asset's mean terminal price to K."""
-        d = self.dim
-        tilts = np.empty((d, d))
-        for j in range(d):
-            eta = np.zeros(d)
-            eta[j] = (np.log(self.strike / self.s0[j]) - self.r * self.maturity) \
-                / (self.sigmas[j] * np.sqrt(self.maturity))
-            tilts[j] = solve_triangular(self.chol, eta, lower=True)
-        return tilts
+        return self._tilts_to(np.diag(self._log_moves(self.strike)))
 
 
 @dataclass
@@ -247,15 +250,9 @@ class PyramidOption(CorrelatedGbm):
         """One tilt per sign pattern of the 2^d positivity regions."""
         kbar = np.maximum(self.asset_strikes, self.s0 * np.exp(self.r * self.maturity))
         slack = max(self.strike - np.abs(kbar - self.asset_strikes).sum(), 0.0) / self.dim
-        tilts = np.empty((2 ** self.dim, self.dim))
-        for i, signs in enumerate(self.sign_patterns()):
-            target = kbar + signs * slack
-            # keep the log argument positive for deep down-moves
-            target = np.maximum(target, 1e-8 * self.s0)
-            eta = (np.log(target / self.s0) - self.r * self.maturity) \
-                / (self.sigmas * np.sqrt(self.maturity))
-            tilts[i] = solve_triangular(self.chol, eta, lower=True)
-        return tilts
+        # keep the log argument positive for deep down-moves
+        targets = np.maximum(kbar + self.sign_patterns() * slack, 1e-8 * self.s0)
+        return self._tilts_to(self._log_moves(targets))
 
 
 @dataclass

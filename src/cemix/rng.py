@@ -59,10 +59,6 @@ class RngStream:
         return ((self.seed << 64) | (_PHASE_CODE[self.phase] << 60)
                 | (self.iteration << 32) | self.counter)
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator keyed by this stream's coordinates."""
-        return np.random.Generator(np.random.Philox(key=self._key()))
-
     def _fill(self, out: np.ndarray, start: int) -> np.ndarray:
         """Write the uniforms of words [start, start + out.size) into the 1-d out."""
         bits = np.random.Philox(key=self._key())

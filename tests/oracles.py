@@ -7,6 +7,7 @@ package code it checks.
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from cemix.errors import DegenerateUpdate
@@ -95,3 +96,30 @@ def cev_paths(model, x):
                         * ys ** model.gamma2 * db, 0.0)
     grow = np.exp(model.r * model.maturity)
     return grow * xs, grow * ys
+
+
+def rainbow_tilts(model):
+    """RainbowOption.approx_tilts by one triangular solve per asset: row j moves
+    asset j's normal so that its mean terminal price is the strike."""
+    d = model.dim
+    tilts = np.empty((d, d))
+    for j in range(d):
+        eta = np.zeros(d)
+        eta[j] = (np.log(model.strike / model.s0[j]) - model.r * model.maturity) \
+            / (model.sigmas[j] * np.sqrt(model.maturity))
+        tilts[j] = solve_triangular(model.chol, eta, lower=True)
+    return tilts
+
+
+def pyramid_tilts(model):
+    """PyramidOption.approx_tilts by one triangular solve per sign pattern: the
+    mean terminal prices are kbar +- slack per asset, floored at 1e-8 * s0."""
+    kbar = np.maximum(model.asset_strikes, model.s0 * np.exp(model.r * model.maturity))
+    slack = max(model.strike - np.abs(kbar - model.asset_strikes).sum(), 0.0) / model.dim
+    tilts = np.empty((2 ** model.dim, model.dim))
+    for i, signs in enumerate(model.sign_patterns()):
+        target = np.maximum(kbar + signs * slack, 1e-8 * model.s0)
+        eta = (np.log(target / model.s0) - model.r * model.maturity) \
+            / (model.sigmas * np.sqrt(model.maturity))
+        tilts[i] = solve_triangular(model.chol, eta, lower=True)
+    return tilts

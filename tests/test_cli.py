@@ -63,21 +63,15 @@ class TestExperiments:
         # the perturbation draw and every rarity stage pilot need their own
         # stream; so does every later pilot and chunk of the row.  Batches
         # are drawn in word blocks, so a stream's words must not overlap
-        draws = []  # (phase, key, start, size); size None: a whole generator
+        draws = []  # (phase, key, start, size)
         streams = set()
-        generator, fill = RngStream.generator, RngStream._fill
-
-        def spy_generator(stream):
-            streams.add(stream)
-            draws.append((stream.phase, stream._key(), 0, None))
-            return generator(stream)
+        fill = RngStream._fill
 
         def spy_fill(stream, out, start):
             streams.add(stream)
             draws.append((stream.phase, stream._key(), start, out.size))
             return fill(stream, out, start)
 
-        monkeypatch.setattr(RngStream, "generator", spy_generator)
         monkeypatch.setattr(RngStream, "_fill", spy_fill)
         cfg = table_configs(5, seed=1)[0]
         assert cfg.init["method"] == "rarity_ce"
@@ -87,7 +81,8 @@ class TestExperiments:
         assert len({s._key() for s in streams}) == len(streams)
         by_key = {}
         for _, key, start, size in draws:
-            by_key.setdefault(key, []).append((start, math.inf if size is None else start + size))
+            assert 0 <= start and 0 < size < math.inf
+            by_key.setdefault(key, []).append((start, start + size))
         for spans in by_key.values():
             spans.sort()
             assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
@@ -236,11 +231,20 @@ class TestLoadConfig:
         cfg = load_config(str(path))
         assert cfg.pilot_size == 10000 and cfg.n_final == 100000 and cfg.seed == 0
 
-    def test_integral_float_count(self, tmp_path):
-        # YAML writes 10^4 as 1.0e4, a float
-        cfg = load_config(str(write_config(tmp_path / "cfg.yaml",
-                                           ce={"pilot_size": 1.0e4, "iterations": 3})))
+    def test_integral_float_count(self, tmp_path, capsys):
+        # YAML 1.1 reads 1.0e+4 as a float, and 1e4 or 1.0e4, with no exponent
+        # sign, as a string
+        path = tmp_path / "cfg.yaml"
+        text = write_config(path).read_text()
+        assert "pilot_size: 5000" in text
+        path.write_text(text.replace("pilot_size: 5000", "pilot_size: 1.0e+4"))
+        cfg = load_config(str(path))
         assert cfg.pilot_size == 10000 and isinstance(cfg.pilot_size, int)
+        for written in ("1e4", "1.0e4"):
+            path.write_text(text.replace("pilot_size: 5000", f"pilot_size: {written}"))
+            assert main(["run", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "pilot_size" in err
 
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -332,7 +336,7 @@ class TestCliMain:
         assert "config error: output path" in capsys.readouterr().err
 
     def test_table_output_dir_missing_config_exit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("cemix.cli.reproduce_table", None)
+        monkeypatch.setattr("cemix.cli.run_experiment", None)
         out = str(tmp_path / "absent" / "x.csv")
         assert main(["table", "2", "--output", out]) == EXIT_CONFIG
         assert "config error: output path" in capsys.readouterr().err
@@ -421,6 +425,14 @@ class TestCliMain:
         ({"init": {"method": "perturbation", "m": 2, "base": [0.0, 1.0]}}, "init base"),
         ({"init": {"method": "rarity_ce", "means": [[0.0], [-0.1]], "max_stages": 0}},
          "max_stages"),
+        ({"init": {"method": "rarity_ce", "means": [[0.0], [-0.1], [0.3]]}},
+         "one component per rarity level: 2, got 3"),
+        ({"init": {"method": "rarity_ce", "means": [[0.0]]}},
+         "one component per rarity level: 2, got 1"),
+        ({"model": RAINBOW_YAML, "init": {"method": "rarity_ce", "m": 3}},
+         "one component per rarity level: 2, got 3"),
+        ({"model": RAINBOW_YAML, "init": {"method": "rarity_ce", "m": 1}},
+         "one component per rarity level: 2, got 1"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
@@ -428,7 +440,8 @@ class TestCliMain:
             "model_param_not_number", "negative_weight_floor", "count_param_not_whole",
             "init_m_zero", "asian_no_dates", "asian_negative_s0", "rainbow_sigmas_shape",
             "rainbow_corr_shape", "pyramid_asset_strikes_shape", "rho_out_of_range_approx",
-            "init_means_width", "init_base_width", "max_stages_zero"])
+            "init_means_width", "init_base_width", "max_stages_zero", "rarity_ce_three_means",
+            "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cemix import numerics
+from cemix import estimate, numerics
 from cemix.errors import DimensionMismatch, UnequalSampleSize
 from cemix.estimate import (
     EstimateReport,
@@ -68,23 +68,24 @@ class TestIsEstimate:
         assert report.estimate == pytest.approx(3.25, abs=1e-12)
         assert report.std_error == pytest.approx(0.0, abs=1e-12)
 
-    def test_exact_tilt_zero_variance(self):
+    def test_exact_tilt_zero_variance(self, monkeypatch):
         # only rounding noise remains; a sum-of-squares variance would
         # cancel to ~1e-11 here
         theta = MixtureParam.single(Exponential.c)
         for chunk_size in (200_000, 7_000):
-            report = is_estimate(Exponential(), theta, 100_000, RngStream(12),
-                                 chunk_size=chunk_size)
+            monkeypatch.setattr(estimate, "_CHUNK", chunk_size)
+            report = is_estimate(Exponential(), theta, 100_000, RngStream(12))
             assert report.estimate == pytest.approx(math.exp(0.5 * 2.08), rel=1e-13)
             assert report.relative_error <= 1e-15
 
-    def test_chunk_merge_matches_two_pass_reference(self):
+    def test_chunk_merge_matches_two_pass_reference(self, monkeypatch):
         # the merged chunk moments equal the mean and variance of all draws
         # taken at once, summed with fsum
         model = TwoSidedTail(a=1.0, b=-1.5)
         theta = MixtureParam([0.5, 0.5], [[1.0], [-1.5]])
         n, chunk, stream = 50_000, 7_000, RngStream(13)
-        report = is_estimate(model, theta, n, stream, chunk_size=chunk)
+        monkeypatch.setattr(estimate, "_CHUNK", chunk)
+        report = is_estimate(model, theta, n, stream)
         vals = []
         for k, start in enumerate(range(0, n, chunk)):
             x = sample_mixture(theta, min(chunk, n - start),
@@ -123,15 +124,17 @@ class TestIsEstimate:
         assert abs(report.estimate - truth) <= 4 * se
         assert report.std_error == pytest.approx(se, rel=0.05)
 
-    def test_chunking_deterministic_and_consistent(self):
+    def test_chunking_deterministic_and_consistent(self, monkeypatch):
         model = TwoSidedTail(a=1.0, b=-1.5)
         theta = MixtureParam([0.5, 0.5], [[1.0], [-1.5]])
-        a = is_estimate(model, theta, 50_000, RngStream(5), chunk_size=7_000)
-        b = is_estimate(model, theta, 50_000, RngStream(5), chunk_size=7_000)
+        monkeypatch.setattr(estimate, "_CHUNK", 7_000)
+        a = is_estimate(model, theta, 50_000, RngStream(5))
+        b = is_estimate(model, theta, 50_000, RngStream(5))
         assert a.estimate == b.estimate and a.std_error == b.std_error
         # different chunk sizes use different sub-streams; estimates agree
         # statistically, not bitwise
-        c = is_estimate(model, theta, 50_000, RngStream(5), chunk_size=50_000)
+        monkeypatch.setattr(estimate, "_CHUNK", 50_000)
+        c = is_estimate(model, theta, 50_000, RngStream(5))
         combined = math.hypot(a.std_error, c.std_error)
         assert abs(a.estimate - c.estimate) <= 4 * combined
 
@@ -190,12 +193,13 @@ class TestFusedPass:
         (CevDigital(strike=60.0, **CEV), False),
         (AsianCall(strike=60.0, **ASIAN), True),
     ], ids=["tail-m2", "rainbow-m4", "pyramid-m16", "asian-d30", "cev-d100", "identity"])
-    def test_matches_serial_chunks(self, model, identity):
+    def test_matches_serial_chunks(self, model, identity, monkeypatch):
         # two chunks of three full blocks and a ragged tail, then a short chunk
         theta = MixtureParam.single(np.zeros(model.dim)) if identity else approx_theta(model)
         chunk = 3 * _block_rows(model.dim) + 37
         n, stream = 2 * chunk + 501, RngStream(14, phase="final_is", counter=3)
-        report = is_estimate(model, theta, n, stream, chunk_size=chunk)
+        monkeypatch.setattr(estimate, "_CHUNK", chunk)
+        report = is_estimate(model, theta, n, stream)
         assert (report.estimate, report.std_error, report.min_lr, report.max_lr,
                 report.lr_concentrated) == serial_is_estimate(model, theta, n, stream, chunk)
 

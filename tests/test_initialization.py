@@ -43,6 +43,24 @@ class TestPerturbation:
         b = init_perturbation(3, [0.0], 0.1, RngStream(3))
         np.testing.assert_array_equal(a.means, b.means)
 
+    @pytest.mark.parametrize("m, base, scale", [
+        (2, [0.0], 0.1), (4, [1.0, -2.0], 0.5), (16, [0.3, 0.0, -1.5, 2.0], 1.0),
+        (3, np.linspace(-1.0, 1.0, 100), 0.25), (1, [5.0], 1e-3)])
+    def test_words_of_one_uniform_draw(self, m, base, scale):
+        # the noise is words [0, m*d) of the stream, with the bits of
+        # Generator.uniform on a generator keyed like the stream
+        for seed in range(8):
+            stream = RngStream(seed, phase="init", iteration=0)
+            gen = np.random.Generator(np.random.Philox(key=stream._key()))
+            expect = np.asarray(base) + gen.uniform(-scale, scale, (m, len(base)))
+            np.testing.assert_array_equal(
+                init_perturbation(m, base, scale, stream).means, expect)
+
+    def test_rounded_away_noise_config_error(self):
+        # base + noise rounds to base, so every component has the same mean
+        with pytest.raises(ConfigError, match="pairwise distinct"):
+            init_perturbation(2, [1e20], 0.1, RngStream(4))
+
 
 class TestApproxInit:
     def test_two_sided(self):
@@ -164,6 +182,15 @@ class TestRarityCe:
         assert len(trace) >= 2
         for rec in trace:
             assert np.all(rec.samples_in_set[~rec.clamped] >= n0)
+
+    def test_components_must_match_rarity_levels(self):
+        # two_sided_tail has two rarity levels (one per side), so three or one
+        # starting means cannot be matched to them
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        for means in ([[0.0], [-0.1], [0.3]], [[0.0]]):
+            with pytest.raises(ConfigError, match="one component per rarity level"):
+                init_rarity_ce(model, RarityConfig(pilot_size=2000),
+                               MixtureParam.uniform(means), RngStream(0, phase="init"))
 
     def test_stagnant_raises(self):
         with pytest.raises(StagnantRarity):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cemix.errors import ConfigError, DimensionMismatch, EmbeddingUnavailable
+from cemix.experiments import PYRAMID_2, PYRAMID_4, RAINBOW_2, RAINBOW_4, STRIKE_TABLES
 from cemix.initialization import RarityConfig, init_rarity_ce, rarity_delta
 from cemix.mixture import MixtureParam
 from cemix.models import (
@@ -18,7 +19,7 @@ from cemix.models import (
 )
 from cemix.numerics import _block_rows, normal_cdf
 from cemix.rng import RngStream
-from oracles import cev_paths, normals
+from oracles import cev_paths, normals, pyramid_tilts, rainbow_tilts
 
 
 class TestTwoSidedTail:
@@ -161,6 +162,20 @@ class TestAsianCall:
         params = dict(s0=50.0, r=0.05, sigma=0.3, maturity=1.0, n_dates=30, strike=50.0)
         with pytest.raises(ConfigError):
             AsianCall(**{**params, **bad})
+
+
+@pytest.mark.parametrize("cls, params, strikes, oracle", [
+    (RainbowOption, RAINBOW_2, (50.0, 60.0, 70.0, 45.0, 75.0), rainbow_tilts),
+    (RainbowOption, RAINBOW_4, (50.0, 60.0, 70.0, 45.0, 75.0), rainbow_tilts),
+    (PyramidOption, PYRAMID_2, STRIKE_TABLES[7][2] + (45, 75), pyramid_tilts),
+    (PyramidOption, PYRAMID_4, STRIKE_TABLES[8][2] + (45, 75), pyramid_tilts),
+], ids=["rainbow-2", "rainbow-4", "pyramid-2", "pyramid-4"])
+def test_gbm_tilt_map_matches_solve_loops(cls, params, strikes, oracle):
+    # the one price-to-tilt map of CorrelatedGbm gives the bits of the
+    # per-asset and per-pattern solve loops, at the table strikes and beyond
+    for strike in strikes:
+        model = cls(strike=float(strike), **params)
+        np.testing.assert_array_equal(model.approx_tilts(), oracle(model))
 
 
 class TestRainbowOption:
