@@ -38,9 +38,5 @@ class EmbeddingUnavailable(ApproxUnavailable):
     lacks the map an initializer needs."""
 
 
-class UnequalSampleSize(CemixError):
-    """Variance ratio requires reports with equal sample counts."""
-
-
 class ConfigError(CemixError):
     """Experiment configuration is invalid."""

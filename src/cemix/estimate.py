@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnequalSampleSize
+from .errors import DimensionMismatch
 from .mixture import MixtureParam, _draw_rows
 from .numerics import _block_rows, _for_blocks
 from .rng import RngStream
@@ -28,11 +28,14 @@ class EstimateReport:
     n: int
     min_lr: float
     max_lr: float
+    plain_variance: float  # per-sample variance of V under N(0, I_d)
     lr_concentrated: bool = False
 
     @property
-    def per_sample_variance(self) -> float:
-        return self.std_error ** 2 * self.n
+    def var_ratio(self) -> float:
+        """Per-sample variance of plain MC over that of this estimator; inf at zero."""
+        variance = self.std_error * self.std_error * self.n
+        return self.plain_variance / variance if variance > 0 else math.inf
 
 
 def chunk_moments(vals: np.ndarray):
@@ -55,33 +58,37 @@ def merge_moments(a, b):
 
 
 def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> EstimateReport:
-    """Mean and standard error of V(X) * lr(X) over n draws from the mixture.
+    """Mean and standard error of V(X) * lr(X) over n draws from the mixture,
+    and the plain-MC variance E[V^2 lr] - mean^2 of V from the same draws.
 
     Chunk k takes the c rows of sample_mixture(theta, c, stream with counter
     offset k), c = _CHUNK but for a shorter last chunk.  Each row block of a
     chunk is drawn and weighted by _draw_rows and priced by model._payoff on
-    the thread pool, with no (c, d) array.  The chunks' chunk_moments are
-    merged in chunk order by merge_moments.
+    the thread pool, with no (c, d) array; after taking its lr range, a block
+    overwrites its lr with V^2 lr.  The chunks' chunk_moments are merged, and
+    their V^2 lr sums added, in chunk order by the main thread.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     if model.dim != theta.dim:
         raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta.dim}")
     moments = (0, 0.0, 0.0)
-    min_lr, max_lr, max_val = np.inf, -np.inf, 0.0
+    max_val, sum_sq, lr_ends = 0.0, 0.0, []
     for k, start in enumerate(range(0, n, _CHUNK)):
         c = min(_CHUNK, n - start)
         sub = stream.child(counter=stream.counter + k)
         lr, vals = np.empty(c), np.empty(c)
         def block(lo, hi):
-            x = np.empty((hi - lo, theta.dim))
-            _draw_rows(theta, c, sub, lo, x, lr[lo:hi])
-            np.multiply(model._payoff(x), lr[lo:hi], out=vals[lo:hi])
+            x, w = np.empty((hi - lo, theta.dim)), lr[lo:hi]
+            _draw_rows(theta, c, sub, lo, x, w)
+            lr_ends.extend((w.min(), w.max()))
+            payoff = model._payoff(x)
+            np.multiply(payoff, w, out=vals[lo:hi])
+            np.multiply(payoff, vals[lo:hi], out=w)
         _for_blocks(block, c, _block_rows(theta.dim))
         moments = merge_moments(moments, chunk_moments(vals))
-        min_lr = min(min_lr, float(lr.min()))
-        max_lr = max(max_lr, float(lr.max()))
         max_val = max(max_val, float(vals.max()))
+        sum_sq += float(lr.sum())
     _, est, m2 = moments
     se = math.sqrt(m2 / (n - 1) / n)
     return EstimateReport(
@@ -89,8 +96,9 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
         std_error=se,
         relative_error=se / est if est > 0 else math.inf,
         n=n,
-        min_lr=min_lr,
-        max_lr=max_lr,
+        min_lr=float(np.min(lr_ends)),  # each block's lr min and max
+        max_lr=float(np.max(lr_ends)),
+        plain_variance=max(sum_sq / n - est * est, 0.0) * (n / (n - 1)),
         lr_concentrated=est > 0 and max_val > LR_CONCENTRATION_SHARE * est * n,
     )
 
@@ -98,12 +106,3 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
 def plain_mc_estimate(model, n: int, stream: RngStream) -> EstimateReport:
     """Plain Monte Carlo under N(0, I_d); the identity tilt of is_estimate."""
     return is_estimate(model, MixtureParam.single(np.zeros(model.dim)), n, stream)
-
-
-def variance_ratio(plain: EstimateReport, ce: EstimateReport) -> float:
-    """Per-sample variance of plain MC over that of the IS estimator."""
-    if plain.n != ce.n:
-        raise UnequalSampleSize(f"{plain.n} vs {ce.n} samples")
-    if ce.per_sample_variance == 0.0:
-        return math.inf
-    return plain.per_sample_variance / ce.per_sample_variance

@@ -1,4 +1,4 @@
-"""Experiment orchestration: init -> CE iterations -> final IS + baseline.
+"""Experiment orchestration: init -> CE iterations -> final IS.
 
 Holds the benchmark table definitions (estimation problems 1-9) and turns
 a single configuration into one result row.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import CeConfig, run_ce
 from .errors import ConfigError
-from .estimate import is_estimate, plain_mc_estimate, variance_ratio
+from .estimate import is_estimate
 from .initialization import RarityConfig, init_approx, init_perturbation, init_rarity_ce
 from .mixture import MixtureParam, min_tilt_distance
 from .models import (
@@ -199,13 +199,12 @@ def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
-    """One output row: estimate, errors, variance ratio, final mixture."""
+    """One output row: estimate, errors, variance ratio (from the final IS draws), final mixture."""
     model = build_model(cfg)
     stream = RngStream(cfg.seed)
     theta0, init_stages = _initial_mixture(model, cfg, stream)
     theta, trace = run_ce(model, theta0, cfg, stream)
     report = is_estimate(model, theta, cfg.n_final, stream.child(phase="final_is"))
-    baseline = plain_mc_estimate(model, cfg.n_final, stream.child(phase="baseline"))
     flags = []
     if min_tilt_distance(theta.means) <= COLLAPSE_DISTANCE:
         flags.append("collapse")
@@ -217,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
         table=cfg.table, row=cfg.row, label=cfg.label,
         estimate=report.estimate, std_error=report.std_error,
         rel_error=report.relative_error,
-        var_ratio=variance_ratio(baseline, report),
+        var_ratio=report.var_ratio,
         weights=theta.weights, tilts=theta.means,
         flags=flags, init_stages=init_stages, config=cfg, trace=trace,
     )

@@ -68,9 +68,12 @@ def init_perturbation(m: int, base, scale: float, stream: RngStream,
 
 
 def init_approx(model) -> MixtureParam:
-    """Equal-weight mixture from the model's analytical tilt map."""
+    """Equal-weight mixture from the model's analytical tilt map, which must be finite."""
     require_init(model, "approx", ApproxUnavailable)
-    return MixtureParam.uniform(model.approx_tilts())
+    tilts = model.approx_tilts()
+    if not np.all(np.isfinite(tilts)):
+        raise ConfigError(f"approx init: the {model.name} tilts are not finite")
+    return MixtureParam.uniform(tilts)
 
 
 def rarity_delta(levels, n0: int, prev) -> np.ndarray:

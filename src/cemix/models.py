@@ -115,6 +115,7 @@ class AsianCall(Model):
         drift = (self.r - 0.5 * self.sigma ** 2) * self.times
         csq = np.cumsum(self._sqdt)
 
+        @np.errstate(over="ignore")  # an overflowed price is an infinite gap
         def gap(a):
             return np.mean(self.s0 * np.exp(drift + self.sigma * csq * a)) - self.strike
 

@@ -60,26 +60,29 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
 def bisect_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10) -> float:
     """Bisection root of a continuous monotone g on [lo, hi].
 
-    The result is accurate to the final bracket width <= tol.  Raises
-    NoBracket when g(lo) and g(hi) have the same strict sign.
+    The result is accurate to the final bracket width: <= tol, or two adjacent
+    doubles, which a finite bracket narrows to in at most 2099 halvings.  Raises
+    NoBracket when lo or hi is not finite or nonzero g(lo) and g(hi) share a sign.
     """
+    if not np.all(np.isfinite([lo, hi])):
+        raise NoBracket(f"bracket [{lo}, {hi}] is not finite")
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
         return lo
     if ghi == 0.0:
         return hi
-    if glo * ghi > 0:
+    if (glo > 0) == (ghi > 0):  # signs, not the product, which can overflow
         raise NoBracket(f"g({lo})={glo} and g({hi})={ghi} have the same sign")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) without overflow
         gm = g(mid)
-        if gm == 0.0:
+        if gm == 0.0 or mid in (lo, hi):  # a root, or adjacent doubles
             return mid
-        if glo * gm < 0:
+        if (gm > 0) != (glo > 0):
             hi = mid
         else:
             lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def normal_cdf(z) -> float:

@@ -61,21 +61,25 @@ def serial_sample(theta: MixtureParam, n: int, stream):
 
 
 def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: int):
-    """(estimate, std_error, min_lr, max_lr, lr_concentrated) of is_estimate from
-    public calls: each chunk draws its whole batch with sample_mixture, then
-    takes likelihood_ratio and payoff of it and its chunk_moments; the chunks
-    merge in chunk order."""
-    moments, lrs, vals = (0, 0.0, 0.0), [], []
+    """(estimate, std_error, min_lr, max_lr, lr_concentrated, plain_variance) of
+    is_estimate from public calls: each chunk draws its whole batch with
+    sample_mixture, then takes likelihood_ratio and payoff of it, its
+    chunk_moments and its sum of V^2 lr; the chunks merge in chunk order.  The
+    plain variance is E[V^2 lr] - mean^2, made unbiased by n / (n - 1)."""
+    moments, lrs, vals, sum_sq = (0, 0.0, 0.0), [], [], 0.0
     for k, start in enumerate(range(0, n, chunk_size)):
         x = sample_mixture(theta, min(chunk_size, n - start),
                            stream.child(counter=stream.counter + k)).x
         lrs.append(likelihood_ratio(theta, x))
-        vals.append(model.payoff(x) * lrs[-1])
+        payoff = model.payoff(x)
+        vals.append(payoff * lrs[-1])
         moments = merge_moments(moments, chunk_moments(vals[-1]))
+        sum_sq += float(np.sum(payoff * vals[-1]))
     _, est, m2 = moments
     top = max(v.max() for v in vals)
     return (est, math.sqrt(m2 / (n - 1) / n), min(v.min() for v in lrs),
-            max(v.max() for v in lrs), est > 0 and top > LR_CONCENTRATION_SHARE * est * n)
+            max(v.max() for v in lrs), est > 0 and top > LR_CONCENTRATION_SHARE * est * n,
+            max(sum_sq / n - est * est, 0.0) * (n / (n - 1)))
 
 
 def cev_paths(model, x):

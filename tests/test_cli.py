@@ -433,6 +433,8 @@ class TestCliMain:
          "one component per rarity level: 2, got 3"),
         ({"model": RAINBOW_YAML, "init": {"method": "rarity_ce", "m": 1}},
          "one component per rarity level: 2, got 1"),
+        ({"model": {**CEV_YAML, "r": 1.0e+308}, "init": {"method": "approx"}},
+         "approx init: the cev_digital tilts are not finite"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
@@ -441,12 +443,23 @@ class TestCliMain:
             "init_m_zero", "asian_no_dates", "asian_negative_s0", "rainbow_sigmas_shape",
             "rainbow_corr_shape", "pyramid_asset_strikes_shape", "rho_out_of_range_approx",
             "init_means_width", "init_base_width", "max_stages_zero", "rarity_ce_three_means",
-            "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1"])
+            "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1",
+            "cev_approx_tilts_not_finite"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+
+    def test_asian_huge_maturity_approx_ends(self, tmp_path, capsys):
+        # the approx search brackets a tilt near -3e147, where the doubles lie
+        # wider apart than the bisection tolerance; the run must still end
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           model={**ASIAN_YAML, "maturity": 1.0e+300},
+                           init={"method": "approx"}, ce={"pilot_size": 500, "iterations": 2},
+                           sampling={"n": 2000, "seed": 1})
+        assert main(["run", str(cfg)]) == EXIT_DEGENERATE
+        assert "degenerate" in capsys.readouterr().err
 
     def test_stagnant_exit(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cemix import estimate, numerics
-from cemix.errors import DimensionMismatch, UnequalSampleSize
+from cemix.errors import DimensionMismatch
 from cemix.estimate import (
     EstimateReport,
     chunk_moments,
     is_estimate,
     merge_moments,
     plain_mc_estimate,
-    variance_ratio,
 )
 from cemix.experiments import ASIAN, CEV, PYRAMID_4, RAINBOW_4
 from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
@@ -201,7 +201,8 @@ class TestFusedPass:
         monkeypatch.setattr(estimate, "_CHUNK", chunk)
         report = is_estimate(model, theta, n, stream)
         assert (report.estimate, report.std_error, report.min_lr, report.max_lr,
-                report.lr_concentrated) == serial_is_estimate(model, theta, n, stream, chunk)
+                report.lr_concentrated, report.plain_variance) \
+            == serial_is_estimate(model, theta, n, stream, chunk)
 
     def test_no_chunk_sized_draw_array(self, monkeypatch):
         # table 9's model at n = 1e5 on two workers: the (n, d) draws alone
@@ -250,29 +251,56 @@ class TestMergeMoments:
         assert abs(merged[2] - m2) <= 1e-12 * m2 + n * ((2 * spread + err) * err + step)
 
 
-class TestVarianceRatio:
-    def test_identical_reports(self):
-        r = EstimateReport(1.0, 0.01, 0.01, 1000, 0.5, 2.0)
-        assert variance_ratio(r, r) == 1.0
+class TestPlainVariance:
+    """The plain-MC variance E[V^2 lr] - mean^2 that is_estimate takes from its
+    own draws, and the variance ratio it gives."""
 
-    def test_unequal_sizes(self):
-        a = EstimateReport(1.0, 0.01, 0.01, 1000, 0.5, 2.0)
-        b = EstimateReport(1.0, 0.01, 0.01, 2000, 0.5, 2.0)
-        with pytest.raises(UnequalSampleSize):
-            variance_ratio(a, b)
+    def test_zero_one_payoff(self, monkeypatch):
+        # V^2 = V, so the plain variance is mean * (1 - mean), made unbiased
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        theta = MixtureParam([0.7, 0.3], [[2.3], [-2.8]])
+        monkeypatch.setattr(estimate, "_CHUNK", 7_000)
+        n = 50_000
+        report = is_estimate(model, theta, n, RngStream(17, phase="final_is"))
+        mu = report.estimate
+        assert report.plain_variance == pytest.approx(mu * (1 - mu) * n / (n - 1), rel=1e-12)
 
-    def test_zero_variance_sentinel(self):
-        a = EstimateReport(1.0, 0.01, 0.01, 1000, 0.5, 2.0)
-        b = EstimateReport(1.0, 0.0, 0.0, 1000, 1.0, 1.0)
-        assert variance_ratio(a, b) == math.inf
+    @pytest.mark.parametrize("model", [TwoSidedTail(a=1.0, b=-1.5), AsianCall(strike=50.0, **ASIAN)],
+                             ids=["tail", "asian"])
+    def test_identity_tilt_equals_is_variance(self, model):
+        # under the identity tilt lr = 1 and both variances are those of V
+        report = plain_mc_estimate(model, 20_000, RngStream(18, phase="baseline"))
+        assert report.plain_variance == pytest.approx(report.std_error ** 2 * report.n, rel=1e-12)
+        assert report.var_ratio == pytest.approx(1.0, rel=1e-12)
 
-    def test_per_sample_variance(self):
-        r = EstimateReport(1.0, 0.02, 0.02, 2500, 0.5, 2.0)
-        assert r.per_sample_variance == pytest.approx(1.0, rel=1e-12)
+    def test_constant_payoff_ratio_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = plain_mc_estimate(Constant(), 1000, RngStream(0))
+            assert report.std_error == 0.0
+            assert report.var_ratio == math.inf
+
+    def test_ratio_of_reported_variances(self):
+        r = EstimateReport(1.0, 0.02, 0.02, 2500, 0.5, 2.0, plain_variance=3.0)
+        assert r.var_ratio == pytest.approx(3.0, rel=1e-12)
 
     def test_effective_reduction(self):
         model = TwoSidedTail(a=2.0, b=-2.5)
         theta = MixtureParam([0.7, 0.3], [[2.3], [-2.8]])
-        plain = plain_mc_estimate(model, 200_000, RngStream(10, phase="baseline"))
         tilted = is_estimate(model, theta, 200_000, RngStream(10, phase="final_is"))
-        assert variance_ratio(plain, tilted) > 5.0
+        assert tilted.var_ratio > 5.0
+
+    @pytest.mark.parametrize("model", [TwoSidedTail(a=2.0, b=-2.5),
+                                       PyramidOption(strike=40.0, **PYRAMID_4)],
+                             ids=["tail-m2", "pyramid-m16"])
+    def test_does_not_depend_on_pool_size(self, model, monkeypatch):
+        # several chunks of several blocks each, placed differently by the pools
+        theta = approx_theta(model)
+        monkeypatch.setattr(estimate, "_CHUNK", 3 * _block_rows(model.dim) + 37)
+        reports = []
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(numerics, "_POOL", pool)
+                reports.append(is_estimate(model, theta, 2 * estimate._CHUNK + 501,
+                                           RngStream(19, phase="final_is")))
+        assert reports[0] == reports[1]

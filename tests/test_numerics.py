@@ -65,6 +65,23 @@ class TestBisectRoot:
         with pytest.raises(NoBracket):
             bisect_root(lambda a: a * a, 1.0, 2.0)
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bracket(self, lo, hi):
+        with pytest.raises(NoBracket):
+            bisect_root(lambda a: a - 0.5, lo, hi)
+
+    def test_ends_where_doubles_are_wider_than_tol(self):
+        # near 1e10 the doubles lie 2e-6 apart, so the bracket never gets
+        # below tol; the halvings stop at adjacent doubles
+        root = bisect_root(lambda a: a - (1e10 + 0.3), 0.0, 3e10)
+        assert abs(root - (1e10 + 0.3)) <= 2 * math.ulp(1e10)
+
+    def test_bracket_sum_beyond_float_range(self):
+        # lo + hi overflows; the midpoints must stay inside the bracket
+        big = np.finfo(float).max
+        root = bisect_root(lambda a: a - 0.75 * big, 0.5 * big, big)
+        assert abs(root - 0.75 * big) <= 2 * math.ulp(0.75 * big)
+
 
 class TestNormalCdf:
     def test_symmetry_point(self):

@@ -1,0 +1,94 @@
+"""Per-row calibration audit of benchmark tables over a range of seeds.
+
+Each row of the named tables runs at every seed of the range.  Per row the
+audit prints
+- z = (estimate - reference) / SE_diff, as its mean and largest |z| over the
+  seeds.  SE_diff is the row's SE against an exact reference (tables 1-3)
+  and SE * sqrt(2) against a paper value, itself a Monte Carlo estimate
+  (tools/references.py);
+- the var_ratio spread over the seeds: median, min and max;
+- next to it, the same spread of a baseline ratio worked out here: the
+  per-sample variance of plain_mc_estimate with n_final draws on the row's
+  "baseline" stream, over the row's IS per-sample variance;
+- the number of seeds at which var_ratio lies within 15% of that baseline.
+
+The audit gates nothing: it prints its report and exits 0.
+
+    PYTHONPATH=src python tools/audit.py --tables 2 5 6 8 9 --seeds 1..5
+"""
+
+import argparse
+import math
+import statistics
+
+from cemix.estimate import plain_mc_estimate
+from cemix.experiments import build_model, run_experiment, table_configs
+from cemix.rng import RngStream
+from references import reference
+
+# var_ratio within this relative distance of the baseline ratio agrees with it
+AGREE = 0.15
+
+
+def seed_range(text: str) -> range:
+    """Seeds a..b, both included; a lone a is the range a..a."""
+    first, _, last = text.partition("..")
+    try:
+        seeds = range(int(first), int(last or first) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seeds must read a..b, got {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def baseline_ratio(cfg, row) -> float:
+    """Plain-MC per-sample variance, from n_final draws of the row's baseline
+    stream, over the row's IS per-sample variance se^2 * n."""
+    base = plain_mc_estimate(build_model(cfg), cfg.n_final,
+                             RngStream(cfg.seed).child(phase="baseline"))
+    if row.std_error == 0.0:
+        return math.inf
+    return base.std_error ** 2 * base.n / (row.std_error ** 2 * cfg.n_final)
+
+
+def spread(values) -> str:
+    return f"{statistics.median(values):9.4g} [{min(values):.4g}, {max(values):.4g}]"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tables", type=int, nargs="+", required=True,
+                        choices=range(1, 10), metavar="T", help="benchmark tables 1-9")
+    parser.add_argument("--seeds", type=seed_range, required=True, help="seed range a..b")
+    args = parser.parse_args()
+    print(f"{'row':<22} {'reference':>10} {'kind':<5} {'mean z':>7} {'max|z|':>7}  "
+          f"{'var_ratio median [min, max]':<30} {'baseline median [min, max]':<30} agree")
+    zs, agree, pairs = [], 0, 0
+    for table in args.tables:
+        runs = [[(cfg, run_experiment(cfg)) for cfg in table_configs(table, seed)]
+                for seed in args.seeds]
+        for per_seed in zip(*runs):
+            first, _ = per_seed[0]
+            ref = reference(first)
+            z, vr, base = [], [], []
+            for cfg, row in per_seed:
+                se_diff = row.std_error if ref.exact else row.std_error * math.sqrt(2.0)
+                z.append((row.estimate - ref.value) / se_diff)
+                vr.append(row.var_ratio)
+                base.append(baseline_ratio(cfg, row))
+            hits = sum(abs(v / b - 1.0) <= AGREE for v, b in zip(vr, base))
+            zs += z
+            agree += hits
+            pairs += len(z)
+            print(f"{f'{table}/{first.row} {first.label}':<22} {ref.value:>10.5g} "
+                  f"{'exact' if ref.exact else 'paper':<5} {statistics.fmean(z):>7.2f} "
+                  f"{max(map(abs, z)):>7.2f}  {spread(vr):<30} {spread(base):<30} "
+                  f"{hits}/{len(z)}", flush=True)
+    print(f"pooled z over {len(zs)} runs: mean {statistics.fmean(zs):.3f}, "
+          f"sd {statistics.pstdev(zs):.3f}; var_ratio within {AGREE:.0%} of the "
+          f"baseline ratio at {agree} of {pairs} runs")
+
+
+if __name__ == "__main__":
+    main()
