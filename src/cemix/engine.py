@@ -11,14 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateUpdate
-from .mixture import (
-    DEFAULT_WEIGHT_FLOOR,
-    MixtureParam,
-    SampleBatch,
-    log_mixture_density,
-    sample_mixture,
-)
+from .errors import ConfigError, DegenerateUpdate, DimensionMismatch
+from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, SampleBatch, _draw_rows, _log_density
+from .numerics import _block_rows, _map, _slice_rows, _step
 from .rng import RngStream
 
 
@@ -49,6 +44,48 @@ class IterationRecord:
     positive_payoffs: int
 
 
+def _update_blocks(n: int, d: int) -> list:
+    """Row slices of the blocks that the update's sums run over: 16-row aligned, and a
+    function of n and d alone, never of the pool size, so no sum's bits depend on it.
+    Half the _block_rows of a final pass: a pilot of a few thousand rows still spans
+    more than one block of the pool."""
+    step = _step(max(n, 1), _block_rows(d) // 2)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _block_sums(x, payoff, lr, post):
+    """One block's partial update sums: with w = V*lr and wp = post * w, the mass w.sum(),
+    the component masses wp.sum(0) and wp.T @ x; or the error that the block's payoffs or
+    likelihood ratios call for.  The product runs over _slice_rows slices."""
+    if np.any(payoff < 0):
+        return ValueError("payoffs must be nonnegative")
+    # an lr that underflows to 0 under a far tilt is a zero weight
+    if not np.all(np.isfinite(lr) & (lr >= 0)):
+        return DegenerateUpdate("likelihood ratios must be finite and nonnegative")
+    w = payoff * lr
+    wp = post * w[:, None]
+    wx = np.zeros((post.shape[1], x.shape[1]))
+    step = _slice_rows(len(x), *wx.shape)
+    for lo in range(0, len(x), step):
+        wx += wp[lo:lo + step].T @ x[lo:lo + step]
+    return w.sum(), wp.sum(axis=0), wx
+
+
+def _update(parts, theta_prev: MixtureParam, weight_floor: float) -> MixtureParam:
+    """The mixture update from the blocks' _block_sums, added in block order."""
+    faults = [part for part in parts if isinstance(part, Exception)]
+    if faults:  # a negative payoff in any block before a bad likelihood ratio
+        raise min(faults, key=lambda fault: isinstance(fault, DegenerateUpdate))
+    denom, mass, wx = (sum(part[k] for part in parts) for k in range(3))
+    if not (np.isfinite(denom) and denom > 0):
+        raise DegenerateUpdate(f"payoff-weighted mass is {denom}, not finite and positive")
+    live = mass > 0
+    means = np.array(theta_prev.means, copy=True)
+    means[live] = wx[live] / mass[live, None]
+    weights = np.maximum(mass / denom, max(weight_floor, 1e-300))
+    return MixtureParam(weights / weights.sum(), means)
+
+
 def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
                    weight_floor: float = DEFAULT_WEIGHT_FLOOR) -> MixtureParam:
     """Closed-form mixture update from one weighted pilot batch and its payoffs.
@@ -59,60 +96,78 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
     its previous mean; the weight floor keeps its weight alive.  Pass
     weight_floor=0 to get the raw EM-ascent update (weights may then hit
     zero, which the MixtureParam constructor rejects, so a tiny positive
-    floor is applied in that case only where needed).
+    floor is applied in that case only where needed).  The sums run over
+    the _update_blocks on the calling thread, as run_ce's fused pilot runs
+    them on the pool.
     """
     payoff = np.asarray(payoff, dtype=float)
     n = batch.x.shape[0]
     if not (payoff.shape == (n,) == batch.lr.shape and batch.posteriors.shape[0] == n):
         raise ValueError("inconsistent pilot batch and payoff lengths")
-    if np.any(payoff < 0):
-        raise ValueError("payoffs must be nonnegative")
-    # an lr that underflows to 0 under a far tilt is a zero weight
-    if not np.all(np.isfinite(batch.lr) & (batch.lr >= 0)):
-        raise DegenerateUpdate("likelihood ratios must be finite and nonnegative")
-    w = payoff * batch.lr
-    denom = w.sum()
-    if not (np.isfinite(denom) and denom > 0):
-        raise DegenerateUpdate(f"payoff-weighted mass is {denom}, not finite and positive")
-    wp = batch.posteriors * w[:, None]
-    mass = wp.sum(axis=0)
-    live = mass > 0
-    means = np.array(theta_prev.means, copy=True)
-    means[live] = (wp.T @ batch.x)[live] / mass[live, None]
-    weights = np.maximum(mass / denom, max(weight_floor, 1e-300))
-    return MixtureParam(weights / weights.sum(), means)
+    return _update([_block_sums(batch.x[rows], payoff[rows], batch.lr[rows],
+                                batch.posteriors[rows])
+                    for rows in _update_blocks(n, batch.x.shape[1])],
+                   theta_prev, weight_floor)
 
 
-def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixtureParam) -> float:
-    """Sampled CE objective (1/N) sum_k V*lr * log h_theta(X_k)."""
+def _objective_sum(theta: MixtureParam, x, payoff, lr) -> float:
+    """Sum of V*lr * log h_theta over the rows of one block with V > 0."""
     active = payoff > 0
     if not np.any(active):
         return 0.0
-    vals = payoff[active] * batch.lr[active] * log_mixture_density(theta, batch.x[active])
-    return float(vals.sum()) / batch.x.shape[0]
+    return float((payoff[active] * lr[active] * _log_density(theta, x[active])).sum())
+
+
+def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixtureParam) -> float:
+    """Sampled CE objective (1/N) sum_k V*lr * log h_theta(X_k), summed over the
+    _update_blocks in block order."""
+    n = batch.x.shape[0]
+    return sum(_objective_sum(theta, batch.x[rows], payoff[rows], batch.lr[rows])
+               for rows in _update_blocks(n, theta.dim)) / n
+
+
+def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: float):
+    """One fused CE iteration: (new theta, objective under it, positive-payoff count).
+
+    The values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
+    surrogate_objective, from the same rows and the same block sums, with no (n, m)
+    posterior array.  One pool map draws, weights and prices each of the _update_blocks
+    and takes its _block_sums; the main thread adds them in block order and builds the
+    new theta; a second map over the blocks, which keep their draws, sums the objective.
+    """
+    d, m = theta.dim, theta.m
+
+    def draw(rows):
+        k = rows.stop - rows.start
+        x, lr, post = np.empty((k, d)), np.empty(k), np.empty((k, m))
+        _draw_rows(theta, n, stream, rows.start, x, lr, post)
+        payoff = model._payoff(x)
+        return x, payoff, lr, _block_sums(x, payoff, lr, post)
+
+    drawn = _map(draw, _update_blocks(n, d))
+    new = _update([block[3] for block in drawn], theta, weight_floor)
+    objective = sum(_map(lambda block: _objective_sum(new, *block[:3]), drawn)) / n
+    return new, objective, sum(int(np.count_nonzero(block[1] > 0)) for block in drawn)
 
 
 def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
-    """Fixed-count CE iterations: sample pilot, evaluate, update.
+    """Fixed-count CE iterations, each one fused _pilot: sample, price, update.
 
     Returns (theta_final, trace).  DegenerateUpdate is re-raised with the
     failing iteration index attached; it signals an inadequate
     initialization.
     """
+    if model.dim != theta0.dim:
+        raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta0.dim}")
     theta = theta0
     trace = []
     for it in range(1, cfg.iterations + 1):
-        batch = sample_mixture(theta, cfg.pilot_size,
-                               stream.child(phase="pilot", iteration=it))
-        payoff = model.payoff(batch.x)
         try:
-            theta = mixture_update(batch, payoff, theta, cfg.weight_floor)
+            theta, objective, positive = _pilot(model, theta, cfg.pilot_size,
+                                                stream.child(phase="pilot", iteration=it),
+                                                cfg.weight_floor)
         except DegenerateUpdate as exc:
             raise DegenerateUpdate(str(exc), iteration=it) from exc
-        trace.append(IterationRecord(
-            iteration=it,
-            theta=theta,
-            objective=surrogate_objective(batch, payoff, theta),
-            positive_payoffs=int(np.count_nonzero(payoff > 0)),
-        ))
+        trace.append(IterationRecord(iteration=it, theta=theta, objective=objective,
+                                     positive_payoffs=positive))
     return theta, trace

@@ -70,7 +70,8 @@ def init_perturbation(m: int, base, scale: float, stream: RngStream,
 def init_approx(model) -> MixtureParam:
     """Equal-weight mixture from the model's analytical tilt map, which must be finite."""
     require_init(model, "approx", ApproxUnavailable)
-    tilts = model.approx_tilts()
+    with np.errstate(all="ignore"):  # an overflow on the way is a non-finite tilt
+        tilts = model.approx_tilts()
     if not np.all(np.isfinite(tilts)):
         raise ConfigError(f"approx init: the {model.name} tilts are not finite")
     return MixtureParam.uniform(tilts)

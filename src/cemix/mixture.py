@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch
-from .numerics import _block_rows, _for_blocks, _step
+from .numerics import _block_rows, _for_blocks, _slice_rows
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -94,17 +94,16 @@ def _as_batch(x, dim: int) -> np.ndarray:
 
 
 def _tilt_slices(theta: MixtureParam, x: np.ndarray):
-    """(rows, top, e, s) over _step-aligned row slices of x, from the (m, rows) tilt matrix
+    """(rows, top, e, s) over the _slice_rows slices of x, from the (m, rows) tilt matrix
     t_j(x) = alpha_j.x + log w_j - |alpha_j|^2 / 2: top is its per-sample max, e is
     exp(t - top) written over t, and s the per-sample sum of e (>= 1).
 
     w_j phi_d(x - alpha_j) = phi_d(x) exp(t_j(x)), so the |x|^2 terms cancel and are
     never formed.  Components run along axis 0: per-sample reductions are elementwise.
-    Each tilt matmul takes at most 2^18 multiply-adds, which OpenBLAS runs on the calling
-    thread: none of its threads wakes to spin against the pool."""
+    Each tilt matmul runs on a _slice_rows slice, on the calling thread."""
     a = theta.means
     shift = (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
-    step = _step(max(len(x), 1), max(1, 2 ** 18 // (theta.m * theta.dim)))
+    step = _slice_rows(len(x), theta.m, theta.dim)
     for lo in range(0, len(x), step):
         rows = slice(lo, lo + step)
         # a far tilt overflows to a non-finite lr here, which mixture_update rejects
@@ -126,14 +125,18 @@ def _lr(theta: MixtureParam, x: np.ndarray, lr: np.ndarray, post: np.ndarray = N
             np.divide(e, s, out=post[rows].T)
 
 
-def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
-    """log h_theta(x) = log phi_d(x) + log sum_j exp(t_j(x)), max-shifted."""
-    x = _as_batch(x, theta.dim)
+def _log_density(theta: MixtureParam, x: np.ndarray) -> np.ndarray:
+    """log_mixture_density of the rows of the (n, d) x."""
     out = np.empty(len(x))
     for rows, top, _, s in _tilt_slices(theta, x):
         out[rows] = (top + np.log(s) - 0.5 * np.einsum("nd,nd->n", x[rows], x[rows])
                      - 0.5 * theta.dim * LOG_2PI)
     return out
+
+
+def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
+    """log h_theta(x) = log phi_d(x) + log sum_j exp(t_j(x)), max-shifted."""
+    return _log_density(theta, _as_batch(x, theta.dim))
 
 
 def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:

@@ -22,6 +22,21 @@ from .numerics import _block_rows, _for_blocks, bisect_root, cholesky
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
 
+# bound on the volatility scale sigma*sqrt(T) and the rate scale |r|*T: what a model
+# exponentiates or steps through its Euler scheme then stays finite.  Far above any
+# market's, far below the 709 at which exp overflows.
+MAX_SCALE = 10.0
+
+
+@np.errstate(over="ignore")  # an overflowed scale is an unbounded one
+def _require_scales(maturity, sigmas, r=0.0):
+    """Raise ConfigError unless every sigma*sqrt(maturity) and |r|*maturity is finite and
+    at most MAX_SCALE."""
+    for name, scale in (("sigma*sqrt(maturity)", np.multiply(sigmas, np.sqrt(maturity))),
+                        ("|r|*maturity", np.abs(r) * maturity)):
+        if not np.all(np.abs(scale) <= MAX_SCALE):  # NaN fails too
+            raise ConfigError(f"need {name} finite and at most {MAX_SCALE:g}, got {scale}")
+
 
 class Model:
     """Base of the payoff models.  A model's _payoff is a row kernel (row i of its
@@ -92,6 +107,7 @@ class AsianCall(Model):
     def __post_init__(self):
         if min(self.s0, self.sigma, self.maturity, self.strike) <= 0:
             raise ConfigError("need s0, sigma, maturity and strike > 0")
+        _require_scales(self.maturity, self.sigma, self.r)
         if self.times is None:
             self.times = self.maturity * np.arange(1, self.n_dates + 1) / self.n_dates
         self.times = np.asarray(self.times, dtype=float)
@@ -150,6 +166,7 @@ class CorrelatedGbm(Model):
             setattr(self, name, value)
         if not (self.maturity > 0 and np.all(self.s0 > 0) and np.all(self.sigmas > 0)):
             raise ConfigError("need s0, sigmas and maturity > 0")
+        _require_scales(self.maturity, self.sigmas, self.r)
         self.corr = np.asarray(self.corr, dtype=float)
         if self.corr.shape != (self.dim, self.dim):
             raise ConfigError(f"corr must be {self.dim}x{self.dim}, got shape {self.corr.shape}")
@@ -295,6 +312,7 @@ class CevDigital(Model):
         if min(self.s0, self.h0, self.sigma1, self.sigma2, self.maturity, self.c1,
                self.c2) <= 0 or self.strike < 0:
             raise ConfigError("need s0, h0, sigma1, sigma2, maturity, c1, c2 > 0 and strike >= 0")
+        _require_scales(self.maturity, [self.sigma1, self.sigma2], self.r)
 
     @property
     def dim(self):

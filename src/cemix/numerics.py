@@ -31,13 +31,26 @@ def _step(n: int, size: int, parts: int = 1) -> int:
     return -(-n // (count * unit)) * unit
 
 
+def _slice_rows(n: int, m: int, d: int) -> int:
+    """Rows per _step slice of an n-row product with an (m, d) matrix: at most 2^18
+    multiply-adds, which OpenBLAS runs on the calling thread, so none of its threads
+    wakes to spin against the pool and no product's bits depend on its thread count."""
+    return _step(max(n, 1), max(1, 2 ** 18 // (m * d)))
+
+
+def _map(fn: Callable, items) -> list:
+    """[fn(item) for item in items] in order, on the pool; inline for one item.  fn calls
+    no public cemix callable: perfbench's tracer has one span stack."""
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    return list(_POOL.map(fn, items))
+
+
 def _for_blocks(fn: Callable[[int, int], None], n: int, size: int):
-    """fn(start, stop) for the _step blocks of range(n) on the pool, inline for one block.
-    fn calls no public cemix callable: perfbench's tracer has one span stack."""
-    if n <= size:
-        return fn(0, n)
-    step = _step(n, size, _POOL._max_workers)
-    list(_POOL.map(lambda start: fn(start, min(start + step, n)), range(0, n, step)))
+    """fn(start, stop) for the _step blocks of range(n) by _map, as many as a multiple of
+    the pool size: one block when n <= size."""
+    step = max(n, 1) if n <= size else _step(n, size, _POOL._max_workers)
+    _map(lambda start: fn(start, min(start + step, n)), range(0, n, step))
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import io
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,15 @@ from cemix.experiments import (
 )
 from cemix.numerics import normal_cdf
 from cemix.rng import RngStream
+
+
+# prints the bits of table 9's K=70 row: its estimate, SE and tilts
+K70_HEX = """
+import numpy as np
+from cemix.experiments import run_experiment, table_configs
+row = run_experiment(table_configs(9, seed=1)[4])
+print(" ".join(float(v).hex() for v in [row.estimate, row.std_error, *np.ravel(row.tilts)]))
+"""
 
 
 def write_config(path, **overrides):
@@ -106,6 +120,19 @@ class TestExperiments:
                 == (b.estimate, b.std_error, b.rel_error, b.var_ratio, b.flags, b.init_stages)
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.tilts, b.tilts)
+
+    def test_results_do_not_depend_on_blas_threads(self):
+        # every product stays on the calling thread, so a child process limited to
+        # one OpenBLAS thread prints the bits of this process's run
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", K70_HEX], env=env, capture_output=True,
+                               text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(K70_HEX, {})
+        assert child.stdout == here.getvalue()
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
@@ -433,8 +460,14 @@ class TestCliMain:
          "one component per rarity level: 2, got 3"),
         ({"model": RAINBOW_YAML, "init": {"method": "rarity_ce", "m": 1}},
          "one component per rarity level: 2, got 1"),
-        ({"model": {**CEV_YAML, "r": 1.0e+308}, "init": {"method": "approx"}},
+        ({"model": {**CEV_YAML, "strike": 1.0e+308, "c1": 1.0e-10},
+          "init": {"method": "approx"}},
          "approx init: the cev_digital tilts are not finite"),
+        ({"model": {**CEV_YAML, "r": 710.0}, "init": {"method": "approx"}}, "|r|*maturity"),
+        ({"model": {**ASIAN_YAML, "sigma": 1.0e+300}, "init": {"method": "approx"}},
+         "sigma*sqrt(maturity)"),
+        ({"model": {**CEV_YAML, "sigma1": 1.0e+300}, "init": {"method": "approx"}},
+         "sigma*sqrt(maturity)"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
@@ -444,7 +477,8 @@ class TestCliMain:
             "rainbow_corr_shape", "pyramid_asset_strikes_shape", "rho_out_of_range_approx",
             "init_means_width", "init_base_width", "max_stages_zero", "rarity_ce_three_means",
             "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1",
-            "cev_approx_tilts_not_finite"])
+            "cev_approx_tilts_not_finite", "cev_rate_unbounded", "asian_sigma_unbounded",
+            "cev_sigma_unbounded"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -452,14 +486,14 @@ class TestCliMain:
         assert err.startswith("config error:") and named in err
 
     def test_asian_huge_maturity_approx_ends(self, tmp_path, capsys):
-        # the approx search brackets a tilt near -3e147, where the doubles lie
-        # wider apart than the bisection tolerance; the run must still end
+        # sigma*sqrt(maturity) = 3e149 is out of the model's bounds: the run ends at
+        # the model, before the approx search could bracket a tilt near -3e147
         cfg = write_config(tmp_path / "cfg.yaml",
                            model={**ASIAN_YAML, "maturity": 1.0e+300},
                            init={"method": "approx"}, ce={"pilot_size": 500, "iterations": 2},
                            sampling={"n": 2000, "seed": 1})
-        assert main(["run", str(cfg)]) == EXIT_DEGENERATE
-        assert "degenerate" in capsys.readouterr().err
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "sigma*sqrt(maturity)" in capsys.readouterr().err
 
     def test_stagnant_exit(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,10 +1,11 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from cemix import experiments
-from cemix.engine import CeConfig, mixture_update, run_ce, surrogate_objective
+from cemix import engine, experiments, numerics
+from cemix.engine import CeConfig, _pilot, mixture_update, run_ce, surrogate_objective
 from cemix.errors import DegenerateUpdate
 from cemix.experiments import ExperimentConfig, run_experiment
 from cemix.mixture import (
@@ -14,7 +15,8 @@ from cemix.mixture import (
     posterior,
     sample_mixture,
 )
-from cemix.models import TwoSidedTail
+from cemix.initialization import init_approx
+from cemix.models import CevDigital, Model, PyramidOption, TwoSidedTail
 from cemix.rng import RngStream
 from oracles import basic_update, normals, permuted
 
@@ -202,11 +204,11 @@ class TestSurrogateObjective:
 
 class TestRunCe:
     def test_flat_payoff_stays_near_origin(self):
-        model_payoff = lambda x: np.ones(x.shape[0])
-
-        class Flat:
+        class Flat(Model):
             dim = 2
-            payoff = staticmethod(model_payoff)
+
+            def _payoff(self, x):
+                return np.ones(x.shape[0])
 
         theta, trace = run_ce(Flat(), MixtureParam.single([1.0, 1.0]),
                               CeConfig(pilot_size=50_000, iterations=3), RngStream(8))
@@ -216,14 +218,13 @@ class TestRunCe:
     def test_exponential_payoff_converges_to_c(self):
         c = np.array([1.0, -0.5])
 
-        class Expo:
+        class Exponential(Model):
             dim = 2
 
-            @staticmethod
-            def payoff(x):
+            def _payoff(self, x):
                 return np.exp(x @ c)
 
-        theta, _ = run_ce(Expo(), MixtureParam.single([0.0, 0.0]),
+        theta, _ = run_ce(Exponential(), MixtureParam.single([0.0, 0.0]),
                           CeConfig(pilot_size=100_000, iterations=4), RngStream(9))
         assert np.max(np.abs(theta.means[0] - c)) <= 0.05
 
@@ -304,3 +305,77 @@ class TestEvaluatePilot:
             mixture_update(SampleBatch(x=np.zeros((1, 1)), lr=np.ones(1),
                                        posteriors=np.ones((1, 1))),
                            np.array([-1.0]), MixtureParam.single([0.0]))
+
+
+def pilot_problem(name):
+    """(model, theta, pilot size) of a d=1, a d=4 (m=16) and a d=100 pilot."""
+    if name == "tail-1d":
+        return TwoSidedTail(a=2.0, b=-2.5), MixtureParam([0.4, 0.6], [[2.1], [-2.4]]), 20_000
+    if name == "pyramid-4d":
+        model = PyramidOption(strike=40.0, **experiments.PYRAMID_4)
+    else:
+        model = CevDigital(strike=60.0, **experiments.CEV)
+    return model, init_approx(model), 10_000
+
+
+PILOT_STREAM = RngStream(16, phase="pilot", iteration=1)
+
+
+class TestFusedPilot:
+    @pytest.mark.parametrize("name", ["tail-1d", "pyramid-4d", "cev-100d"])
+    def test_matches_unfused_reference(self, name):
+        # sample_mixture -> payoff -> mixture_update -> surrogate_objective
+        model, theta, n = pilot_problem(name)
+        new, objective, positive = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
+        batch = sample_mixture(theta, n, PILOT_STREAM)
+        payoff = model.payoff(batch.x)
+        ref = mixture_update(batch, payoff, theta, 1e-4)
+        np.testing.assert_allclose(new.weights, ref.weights, rtol=1e-12)
+        np.testing.assert_allclose(new.means, ref.means, rtol=1e-12)
+        assert objective == pytest.approx(surrogate_objective(batch, payoff, ref), rel=1e-12)
+        assert positive == np.count_nonzero(payoff > 0)
+        assert 0 < positive < n
+
+    @pytest.mark.parametrize("name", ["tail-1d", "pyramid-4d", "cev-100d"])
+    def test_bit_identical_on_any_pool(self, name, monkeypatch):
+        model, theta, n = pilot_problem(name)
+        runs = []
+        for workers in (1, 2, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(numerics, "_POOL", pool)
+                new, objective, positive = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
+            runs.append((new.weights.tobytes(), new.means.tobytes(), objective, positive))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_negative_payoff_rejected(self):
+        class Signed(Model):
+            dim = 1
+
+            def _payoff(self, x):
+                return x[:, 0]
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_ce(Signed(), MixtureParam.single([0.0]), CeConfig(pilot_size=20_000),
+                   RngStream(17))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lr_reports_iteration(self, bad, monkeypatch):
+        # a non-finite likelihood ratio in the last block of the second pilot
+        draw_rows = engine._draw_rows
+
+        def spoiled(theta, n, stream, lo, x, lr, post=None):
+            draw_rows(theta, n, stream, lo, x, lr, post)
+            if stream.iteration == 2 and lo + len(x) == n:
+                lr[-1] = bad
+
+        monkeypatch.setattr(engine, "_draw_rows", spoiled)
+        with pytest.raises(DegenerateUpdate, match="likelihood ratios") as exc_info:
+            run_ce(TwoSidedTail(a=1.0, b=-1.5), MixtureParam.uniform([[1.0], [-1.5]]),
+                   CeConfig(pilot_size=20_000, iterations=3), RngStream(18))
+        assert exc_info.value.iteration == 2
+
+    def test_zero_mass_reports_iteration(self):
+        with pytest.raises(DegenerateUpdate, match="mass is 0.0") as exc_info:
+            run_ce(TwoSidedTail(a=9.0, b=-9.0), MixtureParam.uniform([[0.0], [-0.1]]),
+                   CeConfig(pilot_size=20_000, iterations=2), RngStream(19))
+        assert exc_info.value.iteration == 1

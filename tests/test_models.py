@@ -156,12 +156,19 @@ class TestAsianCall:
                       strike=50, times=[0.5, 0.4])
 
     @pytest.mark.parametrize("bad", [{"s0": -50.0}, {"strike": -5.0}, {"strike": 0.0},
-                                     {"sigma": 0.0}, {"maturity": 0.0}])
+                                     {"sigma": 0.0}, {"maturity": 0.0}, {"sigma": 1e300},
+                                     {"sigma": 10.5}, {"maturity": 1e300}, {"r": 1e300},
+                                     {"r": -11.0}])
     def test_parameter_ranges(self, bad):
-        # with a negative s0 or strike, approx_tilts' bracket search has no root to find
+        # with a negative s0 or strike, approx_tilts' bracket search has no root to find;
+        # sigma*sqrt(T) and |r|*T above MAX_SCALE overflow what the payoff exponentiates
         params = dict(s0=50.0, r=0.05, sigma=0.3, maturity=1.0, n_dates=30, strike=50.0)
         with pytest.raises(ConfigError):
             AsianCall(**{**params, **bad})
+
+    def test_scale_bound_inclusive(self):
+        model = AsianCall(s0=50.0, r=-10.0, sigma=10.0, maturity=1.0, n_dates=2, strike=50.0)
+        assert np.all(np.isfinite(model.payoff(normals(RngStream(3), 100, 2))))
 
 
 @pytest.mark.parametrize("cls, params, strikes, oracle", [
@@ -219,7 +226,8 @@ class TestRainbowOption:
                           maturity=1.0, strike=50.0)
 
     @pytest.mark.parametrize("bad", [{"maturity": -1.0}, {"sigmas": [0.1, 0.0]},
-                                     {"s0": [50.0, -45.0]}, {"strike": 0.0}])
+                                     {"s0": [50.0, -45.0]}, {"strike": 0.0},
+                                     {"sigmas": [0.1, 1e300]}, {"r": -1e300}])
     def test_parameter_ranges(self, bad):
         params = dict(s0=[50.0, 45.0], sigmas=[0.1, 0.15], corr=[[1.0, 0.2], [0.2, 1.0]],
                       r=0.03, maturity=1.0, strike=60.0)
@@ -277,7 +285,7 @@ class TestPyramidOption:
                           strike=30.0)
 
     @pytest.mark.parametrize("bad", [{"maturity": 0.0}, {"sigmas": [0.0, 0.25]},
-                                     {"s0": [0.0, 45.0]}])
+                                     {"s0": [0.0, 45.0]}, {"maturity": 1e300}])
     def test_parameter_ranges(self, bad):
         params = dict(s0=[50.0, 45.0], sigmas=[0.2, 0.25], asset_strikes=[55.0, 50.0],
                       corr=[[1.0, 0.3], [0.3, 1.0]], r=0.03, maturity=1.0, strike=30.0)
@@ -389,7 +397,8 @@ class TestCevDigital:
 
     @pytest.mark.parametrize("bad", [{"maturity": 0.0}, {"sigma1": 0.0}, {"sigma2": -0.1},
                                      {"strike": -1.0}, {"s0": -50.0}, {"h0": 0.0},
-                                     {"c1": 0.0}, {"c2": -1.0}])
+                                     {"c1": 0.0}, {"c2": -1.0}, {"sigma2": 1e300},
+                                     {"maturity": 1e308}, {"r": 710.0}])
     def test_parameter_ranges(self, bad):
         # strike 0 stays valid: test_trivial_strikes prices it
         with pytest.raises(ConfigError):

@@ -2,19 +2,23 @@
 
 Each row of the named tables runs at every seed of the range.  Per row the
 audit prints
-- z = (estimate - reference) / SE_diff, as its mean and largest |z| over the
-  seeds.  SE_diff is the row's SE against an exact reference (tables 1-3)
+- z = (estimate - reference) / SE_diff, as its mean, its mean |z| and its
+  largest |z| over the seeds.  SE_diff is the row's SE against an exact reference (tables 1-3)
   and SE * sqrt(2) against a paper value, itself a Monte Carlo estimate
   (tools/references.py);
 - the var_ratio spread over the seeds: median, min and max;
 - next to it, the same spread of a baseline ratio worked out here: the
   per-sample variance of plain_mc_estimate with n_final draws on the row's
   "baseline" stream, over the row's IS per-sample variance;
-- the number of seeds at which var_ratio lies within 15% of that baseline.
+- the number of seeds at which var_ratio lies within 15% of that baseline;
+- the number of seeds at which the row is flagged `collapse`.
 
 The audit gates nothing: it prints its report and exits 0.
 
     PYTHONPATH=src python tools/audit.py --tables 2 5 6 8 9 --seeds 1..5
+
+Two checkouts' results compare row by row when the same audit runs over each
+one's src, e.g. PYTHONPATH=../parent/src:tools.
 """
 
 import argparse
@@ -62,8 +66,9 @@ def main():
                         choices=range(1, 10), metavar="T", help="benchmark tables 1-9")
     parser.add_argument("--seeds", type=seed_range, required=True, help="seed range a..b")
     args = parser.parse_args()
-    print(f"{'row':<22} {'reference':>10} {'kind':<5} {'mean z':>7} {'max|z|':>7}  "
-          f"{'var_ratio median [min, max]':<30} {'baseline median [min, max]':<30} agree")
+    print(f"{'row':<22} {'reference':>10} {'kind':<5} {'mean z':>7} {'mean|z|':>7} "
+          f"{'max|z|':>7}  {'var_ratio median [min, max]':<30} "
+          f"{'baseline median [min, max]':<30} agree collapse")
     zs, agree, pairs = [], 0, 0
     for table in args.tables:
         runs = [[(cfg, run_experiment(cfg)) for cfg in table_configs(table, seed)]
@@ -78,13 +83,15 @@ def main():
                 vr.append(row.var_ratio)
                 base.append(baseline_ratio(cfg, row))
             hits = sum(abs(v / b - 1.0) <= AGREE for v, b in zip(vr, base))
+            collapses = sum("collapse" in row.flags for _, row in per_seed)
             zs += z
             agree += hits
             pairs += len(z)
             print(f"{f'{table}/{first.row} {first.label}':<22} {ref.value:>10.5g} "
                   f"{'exact' if ref.exact else 'paper':<5} {statistics.fmean(z):>7.2f} "
-                  f"{max(map(abs, z)):>7.2f}  {spread(vr):<30} {spread(base):<30} "
-                  f"{hits}/{len(z)}", flush=True)
+                  f"{statistics.fmean(map(abs, z)):>7.2f} {max(map(abs, z)):>7.2f}  "
+                  f"{spread(vr):<30} {spread(base):<30} {hits}/{len(z):<3} "
+                  f"{collapses}/{len(z)}", flush=True)
     print(f"pooled z over {len(zs)} runs: mean {statistics.fmean(zs):.3f}, "
           f"sd {statistics.pstdev(zs):.3f}; var_ratio within {AGREE:.0%} of the "
           f"baseline ratio at {agree} of {pairs} runs")

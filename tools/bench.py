@@ -1,0 +1,153 @@
+"""Benchmark this checkout against a parent commit in alternated pairs; write a BENCH file.
+
+    python tools/bench.py PARENT --out BENCH_17.json
+
+PARENT is checked out with `git worktree add` into a temporary directory.  The
+change is a copy of this checkout's src/ and perfbench/ (uncommitted edits
+included), so no run writes into the checkout.  For each workload of
+BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py --workload W
+--seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds; the side that
+runs first alternates from pair to pair.  Then each side times reproduce_table(t, 1),
+t = 1-9, in a fresh process, three times, alternated the same way.
+
+The file holds, per workload and end-to-end metric, each side's median and
+quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
+ratio of the medians and the share of pairs in which the change was better or
+equal; then the table wall times and the environment block of the runs.  Host
+speed drifts between sessions, so only the pairs of one file compare.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # per workload
+SEED = 21  # workload seed of the first pair
+TABLE_ROUNDS = 3
+
+TIME_TABLES = """
+import json, sys, time
+sys.path.insert(0, "src")
+from cemix.experiments import reproduce_table
+walls = {}
+for table in range(1, 10):
+    start = time.perf_counter()
+    reproduce_table(table, 1)
+    walls[table] = time.perf_counter() - start
+print(json.dumps(walls))
+"""
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def run_side(side: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one perfbench run, with its environment block."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)], cwd=side, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"perfbench run failed in {side}:\n{done.stderr}")
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    env = next(line for line in lines if line.startswith("environment "))
+    result["environment"] = json.loads(env[len("environment "):])
+    return result
+
+
+def summary(values) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare(results, metrics) -> dict:
+    """Per end-to-end metric: each side's summary, the ratio of medians and the win share."""
+    out = {}
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        sides = {side: [r["metrics"][name]["value"] for r in results[side]]
+                 for side in ("parent", "change")}
+        pairs = list(zip(sides["parent"], sides["change"]))
+        out[name] = {
+            "better": metric["better"],
+            "parent": summary(sides["parent"]), "change": summary(sides["change"]),
+            "ratio": statistics.median(sides["change"]) / statistics.median(sides["parent"]),
+            "won": sum(c < p if lower else c > p for p, c in pairs) / len(pairs),
+            "won_or_tied": sum(c <= p if lower else c >= p for p, c in pairs) / len(pairs),
+        }
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="the commit to compare against")
+    parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_17.json")
+    args = parser.parse_args()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    parent_commit = git("rev-parse", args.parent)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        git("worktree", "add", "--detach", str(sides["parent"]), parent_commit)
+        try:
+            for part in ("src", "perfbench"):
+                shutil.copytree(ROOT / part, sides["change"] / part,
+                                ignore=shutil.ignore_patterns("__pycache__", "out"))
+            shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+            order = [("parent", "change"), ("change", "parent")]
+            workloads, env = {}, {}
+            for spec in bench["workloads"]:
+                workload = spec["name"]
+                results = {"parent": [], "change": []}
+                seeds = range(SEED, SEED + PAIRS)
+                for i, seed in enumerate(seeds):
+                    for side in order[i % 2]:
+                        results[side].append(run_side(sides[side], workload, seed, seconds))
+                        env.setdefault(side, results[side][-1]["environment"])
+                    print(f"{workload} seed {seed}: " + ", ".join(
+                        f"{side} {results[side][-1]['metrics']['wall_s']['value']:.3f} s"
+                        for side in ("parent", "change")), file=sys.stderr, flush=True)
+                workloads[workload] = {
+                    "seeds": list(seeds),
+                    "first": [order[i % 2][0] for i in range(len(seeds))],
+                    "correct": {side: all(r["correct"] for r in results[side])
+                                for side in results},
+                    "metrics": compare(results, bench["end_to_end"]),
+                }
+            tables = {"parent": [], "change": []}
+            for i in range(TABLE_ROUNDS):
+                for side in order[i % 2]:
+                    done = subprocess.run([sys.executable, "-c", TIME_TABLES], cwd=sides[side],
+                                          check=True, capture_output=True, text=True)
+                    tables[side].append(json.loads(done.stdout))
+        finally:
+            git("worktree", "remove", "--force", str(sides["parent"]))
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    out = {
+        "parent": parent_commit,
+        "change": git("rev-parse", "HEAD") + (" + uncommitted edits" if dirty else ""),
+        "run_seconds": seconds, "pairs": PAIRS,
+        "workloads": workloads,
+        "reproduce_table_s": {
+            side: {table: statistics.median(run[table] for run in tables[side])
+                   for table in tables[side][0]} for side in tables},
+        "environment": env,
+    }
+    (ROOT / args.out).write_text(json.dumps(out, indent=1) + "\n")
+    for workload, data in workloads.items():
+        for name, m in data["metrics"].items():
+            print(f"{workload:10s} {name:18s} parent {m['parent']['median']:.5g} "
+                  f"change {m['change']['median']:.5g} ratio {m['ratio']:.3f} "
+                  f"won {m['won']:.0%}")
+
+
+if __name__ == "__main__":
+    main()
