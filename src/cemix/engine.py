@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateUpdate, DimensionMismatch
 from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, SampleBatch, _draw_rows, _log_density
-from .numerics import _block_rows, _map, _slice_rows, _step
+from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks
 from .rng import RngStream
 
 
@@ -44,19 +44,10 @@ class IterationRecord:
     positive_payoffs: int
 
 
-def _update_blocks(n: int, d: int) -> list:
-    """Row slices of the blocks that the update's sums run over: 16-row aligned, and a
-    function of n and d alone, never of the pool size, so no sum's bits depend on it.
-    Half the _block_rows of a final pass: a pilot of a few thousand rows still spans
-    more than one block of the pool."""
-    step = _step(max(n, 1), _block_rows(d) // 2)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def _block_sums(x, payoff, lr, post):
     """One block's partial update sums: with w = V*lr and wp = post * w, the mass w.sum(),
     the component masses wp.sum(0) and wp.T @ x; or the error that the block's payoffs or
-    likelihood ratios call for.  The product runs over _slice_rows slices."""
+    likelihood ratios call for.  The product runs over slices of at most _PRODUCT_MADDS."""
     if np.any(payoff < 0):
         return ValueError("payoffs must be nonnegative")
     # an lr that underflows to 0 under a far tilt is a zero weight
@@ -65,9 +56,8 @@ def _block_sums(x, payoff, lr, post):
     w = payoff * lr
     wp = post * w[:, None]
     wx = np.zeros((post.shape[1], x.shape[1]))
-    step = _slice_rows(len(x), *wx.shape)
-    for lo in range(0, len(x), step):
-        wx += wp[lo:lo + step].T @ x[lo:lo + step]
+    for rows in _blocks(len(x), _PRODUCT_MADDS // wx.size):
+        wx += wp[rows].T @ x[rows]
     return w.sum(), wp.sum(axis=0), wx
 
 
@@ -97,7 +87,7 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
     weight_floor=0 to get the raw EM-ascent update (weights may then hit
     zero, which the MixtureParam constructor rejects, so a tiny positive
     floor is applied in that case only where needed).  The sums run over
-    the _update_blocks on the calling thread, as run_ce's fused pilot runs
+    the _pilot_blocks on the calling thread, as run_ce's fused pilot runs
     them on the pool.
     """
     payoff = np.asarray(payoff, dtype=float)
@@ -106,7 +96,7 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
         raise ValueError("inconsistent pilot batch and payoff lengths")
     return _update([_block_sums(batch.x[rows], payoff[rows], batch.lr[rows],
                                 batch.posteriors[rows])
-                    for rows in _update_blocks(n, batch.x.shape[1])],
+                    for rows in _pilot_blocks(n, batch.x.shape[1])],
                    theta_prev, weight_floor)
 
 
@@ -120,10 +110,10 @@ def _objective_sum(theta: MixtureParam, x, payoff, lr) -> float:
 
 def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixtureParam) -> float:
     """Sampled CE objective (1/N) sum_k V*lr * log h_theta(X_k), summed over the
-    _update_blocks in block order."""
+    _pilot_blocks in block order."""
     n = batch.x.shape[0]
     return sum(_objective_sum(theta, batch.x[rows], payoff[rows], batch.lr[rows])
-               for rows in _update_blocks(n, theta.dim)) / n
+               for rows in _pilot_blocks(n, theta.dim)) / n
 
 
 def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: float):
@@ -131,7 +121,7 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
 
     The values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
     surrogate_objective, from the same rows and the same block sums, with no (n, m)
-    posterior array.  One pool map draws, weights and prices each of the _update_blocks
+    posterior array.  One pool map draws, weights and prices each of the _pilot_blocks
     and takes its _block_sums; the main thread adds them in block order and builds the
     new theta; a second map over the blocks, which keep their draws, sums the objective.
     """
@@ -144,7 +134,7 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
         payoff = model._payoff(x)
         return x, payoff, lr, _block_sums(x, payoff, lr, post)
 
-    drawn = _map(draw, _update_blocks(n, d))
+    drawn = _map(draw, _pilot_blocks(n, d))
     new = _update([block[3] for block in drawn], theta, weight_floor)
     objective = sum(_map(lambda block: _objective_sum(new, *block[:3]), drawn)) / n
     return new, objective, sum(int(np.count_nonzero(block[1] > 0)) for block in drawn)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .mixture import MixtureParam, _draw_rows
-from .numerics import _block_rows, _for_blocks
+from .numerics import _block_rows, _blocks, _map
 from .rng import RngStream
 
 # a single likelihood ratio carrying more than this share of the total sum
@@ -78,14 +78,14 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
         c = min(_CHUNK, n - start)
         sub = stream.child(counter=stream.counter + k)
         lr, vals = np.empty(c), np.empty(c)
-        def block(lo, hi):
-            x, w = np.empty((hi - lo, theta.dim)), lr[lo:hi]
-            _draw_rows(theta, c, sub, lo, x, w)
+        def block(rows):
+            x, w = np.empty((rows.stop - rows.start, theta.dim)), lr[rows]
+            _draw_rows(theta, c, sub, rows.start, x, w)
             lr_ends.extend((w.min(), w.max()))
             payoff = model._payoff(x)
-            np.multiply(payoff, w, out=vals[lo:hi])
-            np.multiply(payoff, vals[lo:hi], out=w)
-        _for_blocks(block, c, _block_rows(theta.dim))
+            np.multiply(payoff, w, out=vals[rows])
+            np.multiply(payoff, vals[rows], out=w)
+        _map(block, _blocks(c, _block_rows(theta.dim)))
         moments = merge_moments(moments, chunk_moments(vals))
         max_val = max(max_val, float(vals.max()))
         sum_sq += float(lr.sum())

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch
-from .numerics import _block_rows, _for_blocks, _slice_rows
+from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -94,18 +94,16 @@ def _as_batch(x, dim: int) -> np.ndarray:
 
 
 def _tilt_slices(theta: MixtureParam, x: np.ndarray):
-    """(rows, top, e, s) over the _slice_rows slices of x, from the (m, rows) tilt matrix
+    """(rows, top, e, s) over the product _blocks of x, from the (m, rows) tilt matrix
     t_j(x) = alpha_j.x + log w_j - |alpha_j|^2 / 2: top is its per-sample max, e is
     exp(t - top) written over t, and s the per-sample sum of e (>= 1).
 
     w_j phi_d(x - alpha_j) = phi_d(x) exp(t_j(x)), so the |x|^2 terms cancel and are
     never formed.  Components run along axis 0: per-sample reductions are elementwise.
-    Each tilt matmul runs on a _slice_rows slice, on the calling thread."""
+    Each tilt matmul runs on a slice of at most _PRODUCT_MADDS, on the calling thread."""
     a = theta.means
     shift = (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
-    step = _slice_rows(len(x), theta.m, theta.dim)
-    for lo in range(0, len(x), step):
-        rows = slice(lo, lo + step)
+    for rows in _blocks(len(x), _PRODUCT_MADDS // (theta.m * theta.dim)):
         # a far tilt overflows to a non-finite lr here, which mixture_update rejects
         with np.errstate(over="ignore", invalid="ignore"):
             t = a @ x[rows].T
@@ -171,18 +169,18 @@ def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.nd
     flat = x.reshape(-1)
     stream._fill(flat, n + lo * theta.dim)
     ndtri(flat, out=flat)
-    step = max(1, 2 ** 16 // theta.dim)  # bounds the gathered-means temporary
-    for i in range(0, len(x), step):
-        x[i:i + step] += theta.means[labels[i:i + step]]
+    for rows in _blocks(len(x), 2 ** 16 // theta.dim):  # bounds the gathered-means temporary
+        x[rows] += theta.means[labels[rows]]
     _lr(theta, x, lr, post)
 
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
     """n iid draws from h_theta with their likelihood ratios and posteriors:
-    _draw_rows over row blocks on the thread pool, each block from its own words."""
+    _draw_rows over the _pilot_blocks on the thread pool, each block from its own words:
+    the sampler's one program caller is the rarity-stage pilot."""
     if n < 1:
         raise ValueError("n must be >= 1")
     x, lr, post = np.empty((n, theta.dim)), np.empty(n), np.empty((n, theta.m))
-    _for_blocks(lambda lo, hi: _draw_rows(theta, n, stream, lo, x[lo:hi], lr[lo:hi],
-                                          post[lo:hi]), n, _block_rows(theta.dim))
+    _map(lambda rows: _draw_rows(theta, n, stream, rows.start, x[rows], lr[rows], post[rows]),
+         _pilot_blocks(n, theta.dim))
     return SampleBatch(x, lr, post)

@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import ApproxUnavailable, ConfigError
 from .mixture import _as_batch
-from .numerics import _block_rows, _for_blocks, bisect_root, cholesky
+from .numerics import _block_rows, _blocks, _map, bisect_root, cholesky
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
 
@@ -43,12 +43,12 @@ class Model:
     output depends on row i of x only) that calls only private helpers."""
 
     def payoff(self, x) -> np.ndarray:
-        """Payoffs of the rows of x: _payoff over row blocks on the pool."""
+        """Payoffs of the rows of x: _payoff over final-pass _blocks on the pool."""
         x = _as_batch(x, self.dim)
         out = np.empty(len(x))
-        def block(lo, hi):
-            out[lo:hi] = self._payoff(x[lo:hi])
-        _for_blocks(block, len(x), _block_rows(self.dim))
+        def block(rows):
+            out[rows] = self._payoff(x[rows])
+        _map(block, _blocks(len(x), _block_rows(self.dim)))
         return out
 
 
@@ -349,8 +349,11 @@ class CevDigital(Model):
         if gamma >= 1.0:
             raise ApproxUnavailable("analytic drift needs gamma < 1")
         target = np.exp(-self.r * self.maturity) * self.strike / cost
-        return (self.r / sigma) * (target ** (1.0 - gamma) - s0 ** (1.0 - gamma)) \
-            / (1.0 - np.exp(-self.r * (1.0 - gamma) * self.maturity))
+        lift = target ** (1.0 - gamma) - s0 ** (1.0 - gamma)
+        span = 1.0 - np.exp(-self.r * (1.0 - gamma) * self.maturity)
+        if span == 0.0:  # r = 0, or too small to move exp: the r -> 0 limit
+            return lift / (sigma * (1.0 - gamma) * self.maturity)
+        return (self.r / sigma) * lift / span
 
     def approx_tilts(self):
         """Innovation-space mean shifts for drifting W (component 1) or B

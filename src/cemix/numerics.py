@@ -15,27 +15,34 @@ from .errors import NoBracket, NotPositiveDefinite
 # blocks write disjoint slices of one output: no result depends on the size
 _POOL = ThreadPoolExecutor(os.cpu_count() or 1)
 
+# multiply-adds per product slice: OpenBLAS runs a product this small on the calling
+# thread, so none of its threads wakes to spin against the pool and no product's bits
+# depend on its thread count
+_PRODUCT_MADDS = 2 ** 18
+
 
 def _block_rows(d: int) -> int:
-    """Rows per block of a d-column batch: ~2^16 words, at least 8192 to amortise the GIL."""
+    """Rows per final-pass block of d columns: ~2^16 words, at least 8192 to amortise the GIL."""
     return max(8192, 2 ** 16 // (d + 1))
 
 
-def _step(n: int, size: int, parts: int = 1) -> int:
-    """Length of near-equal blocks of range(n), at most size rows and a multiple of parts
-    in number.  Blocks start on multiples of 16 rows, the widest BLAS kernel unroll: a
-    row's matmul bits then do not depend on where the blocks fall."""
+def _blocks(n: int, size: int) -> list:
+    """The row partition of every pool pass and serial row loop: near-equal slices of
+    range(n), at most size rows each (size < 1 counts as 1), none for n = 0.  They
+    depend on n and size only, never on the pool size.  Slices start on multiples of
+    16 rows, the widest BLAS kernel unroll: a row's matmul bits then do not depend on
+    where the slices fall."""
+    size = max(size, 1)
     unit = min(16, size)
-    count = -(-n // (size // unit * unit))
-    count = -(-count // parts) * parts
-    return -(-n // (count * unit)) * unit
+    count = -(-max(n, 1) // (size // unit * unit))
+    step = -(-max(n, 1) // (count * unit)) * unit
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _slice_rows(n: int, m: int, d: int) -> int:
-    """Rows per _step slice of an n-row product with an (m, d) matrix: at most 2^18
-    multiply-adds, which OpenBLAS runs on the calling thread, so none of its threads
-    wakes to spin against the pool and no product's bits depend on its thread count."""
-    return _step(max(n, 1), max(1, 2 ** 18 // (m * d)))
+def _pilot_blocks(n: int, d: int) -> list:
+    """_blocks of an n-row CE pilot in d dimensions: half the _block_rows of a final
+    pass, so a pilot of a few thousand rows still spans more than one block of the pool."""
+    return _blocks(n, _block_rows(d) // 2)
 
 
 def _map(fn: Callable, items) -> list:
@@ -44,13 +51,6 @@ def _map(fn: Callable, items) -> list:
     if len(items) <= 1:
         return [fn(item) for item in items]
     return list(_POOL.map(fn, items))
-
-
-def _for_blocks(fn: Callable[[int, int], None], n: int, size: int):
-    """fn(start, stop) for the _step blocks of range(n) by _map, as many as a multiple of
-    the pool size: one block when n <= size."""
-    step = max(n, 1) if n <= size else _step(n, size, _POOL._max_workers)
-    _map(lambda start: fn(start, min(start + step, n)), range(0, n, step))
 
 
 def cholesky(sigma: np.ndarray) -> np.ndarray:

@@ -495,6 +495,13 @@ class TestCliMain:
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         assert "sigma*sqrt(maturity)" in capsys.readouterr().err
 
+    def test_cev_zero_rate_runs(self, tmp_path):
+        # r = 0 takes the approx drift's r -> 0 limit, not 0/0
+        cfg = write_config(tmp_path / "cfg.yaml", model={**CEV_YAML, "r": 0.0, "n_steps": 5},
+                           init={"method": "approx"}, ce={"pilot_size": 500, "iterations": 2},
+                           sampling={"n": 2000, "seed": 1})
+        assert main(["run", str(cfg)]) == 0
+
     def test_stagnant_exit(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.yaml",

@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtri
 
-from cemix import numerics
 from cemix.errors import DimensionMismatch
 from cemix.mixture import (
     MixtureParam,
@@ -18,7 +16,7 @@ from cemix.mixture import (
     posterior,
     sample_mixture,
 )
-from cemix.numerics import _block_rows, _for_blocks
+from cemix.numerics import _block_rows, _blocks, _map
 from cemix.rng import RngStream
 from oracles import log_component_density, permuted, serial_sample, uniforms
 
@@ -190,25 +188,20 @@ class TestLikelihoodRatio:
         assert abs(lr.mean() - 1.0) <= 4 * se
 
     @pytest.mark.parametrize("m, d", [(16, 4), (1, 100), (2, 100), (1, 30)])
-    def test_row_blocks_do_not_move_bits(self, m, d, monkeypatch):
-        # the fused estimators' lr over pool blocks and matmul sub-blocks, on
-        # pools that place the blocks differently; a block start off the BLAS
-        # kernel unroll moves some rows' bits.  The sampler weights its blocks
-        # the same way: its lr and posteriors are those of one whole-batch pass.
+    def test_row_blocks_do_not_move_bits(self, m, d):
+        # the fused estimators' lr over pool blocks and matmul slices, for two block
+        # sizes that start the blocks at different rows; a block start off the BLAS
+        # kernel unroll moves some rows' bits.  The sampler weights its blocks the same
+        # way: its lr and posteriors are those of one whole-batch pass.
         theta = random_theta(np.random.default_rng(m + d), m, d)
         n = 5 * _block_rows(d) + 7
-        x = sample_mixture(theta, n, RngStream(10)).x
+        batch = sample_mixture(theta, n, RngStream(10))
+        np.testing.assert_array_equal(batch.lr, likelihood_ratio(theta, batch.x))
+        np.testing.assert_array_equal(batch.posteriors, posterior(theta, batch.x))
         outs = []
-        for workers in (1, 4):
-            with ThreadPoolExecutor(workers) as pool:
-                monkeypatch.setattr(numerics, "_POOL", pool)
-                outs.append(np.empty(n))
-                _for_blocks(lambda lo, hi: _lr(theta, x[lo:hi], outs[-1][lo:hi]), n,
-                            _block_rows(d))
-                batch = sample_mixture(theta, n, RngStream(10))
-            np.testing.assert_array_equal(batch.x, x)
-            np.testing.assert_array_equal(batch.lr, likelihood_ratio(theta, x))
-            np.testing.assert_array_equal(batch.posteriors, posterior(theta, x))
+        for size in (_block_rows(d), _block_rows(d) // 2 + 17):
+            outs.append(np.empty(n))
+            _map(lambda rows: _lr(theta, batch.x[rows], outs[-1][rows]), _blocks(n, size))
         np.testing.assert_array_equal(*outs)
 
 

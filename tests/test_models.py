@@ -383,6 +383,23 @@ class TestCevDigital:
         assert np.all(tilts[1, 0::2] == 0.0)
         assert np.all(tilts[0, 0::2] > 0.0)
 
+    def test_zero_rate_drift_is_the_limit(self):
+        # at r = 0, (r/sigma) * lift / (1 - exp(-r(1-gamma)T)) is 0/0; the drift takes its
+        # r -> 0 limit (K^(1-gamma) - s0^(1-gamma)) / (sigma(1-gamma)T), as does any r
+        # too small to move exp, and a small r lands next to it
+        x_drift = (60.0 ** 0.5 - 50.0 ** 0.5) / (0.3 * 0.5 * 1.0)
+        y_drift = (60.0 ** 0.3 - 48.0 ** 0.3) / (0.35 * 0.3 * 1.0)
+        sqdt = math.sqrt(1.0 / 50)
+        limit = np.zeros((2, 100))
+        limit[0, 0::2] = x_drift * sqdt
+        limit[1, 0::2] = 0.3 * y_drift * sqdt
+        limit[1, 1::2] = math.sqrt(1.0 - 0.3 ** 2) * y_drift * sqdt
+        tilts = self.make(strike=60.0, r=0.0).approx_tilts()
+        np.testing.assert_allclose(tilts, limit, rtol=1e-14)
+        np.testing.assert_array_equal(self.make(strike=60.0, r=1e-300).approx_tilts(), tilts)
+        np.testing.assert_allclose(self.make(strike=60.0, r=1e-6).approx_tilts(), limit,
+                                   rtol=1e-5)
+
     def test_at_the_forward_zero_drift(self):
         model = self.make(strike=50.0 * math.exp(0.03), c1=1.0)
         assert abs(model.approx_tilts()[0, 0]) <= 1e-12

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cemix.errors import NoBracket, NotPositiveDefinite
-from cemix.numerics import _for_blocks, bisect_root, cholesky, normal_cdf
+from cemix.numerics import _blocks, bisect_root, cholesky, normal_cdf
 
 
 class TestCholesky:
@@ -40,17 +40,16 @@ class TestCholesky:
         assert np.all(np.diag(c) > 0)
 
 
-class TestForBlocks:
+class TestBlocks:
     @given(st.integers(1, 20_000), st.data())
     @settings(max_examples=200, deadline=None)
     def test_blocks_partition_range(self, size, data):
-        n = data.draw(st.integers(1, 50 * size))
-        blocks = []
-        _for_blocks(lambda lo, hi: blocks.append((lo, hi)), n, size)
-        blocks.sort()
-        assert blocks[0][0] == 0 and blocks[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert all(0 < hi - lo <= size for lo, hi in blocks)
+        n = data.draw(st.integers(0, 50 * size))
+        blocks = _blocks(n, size)
+        ends = [0] + [rows.stop for rows in blocks]
+        assert [rows.start for rows in blocks] == ends[:-1] and ends[-1] == n
+        assert all(0 < rows.stop - rows.start <= size for rows in blocks)
+        assert size < 16 or all(rows.start % 16 == 0 for rows in blocks)
 
 
 class TestBisectRoot:

@@ -1,35 +1,42 @@
 """Benchmark this checkout against a parent commit in alternated pairs; write a BENCH file.
 
-    python tools/bench.py PARENT --out BENCH_17.json
+    python tools/bench.py PARENT --out BENCH_18.json
 
 PARENT is checked out with `git worktree add` into a temporary directory.  The
-change is a copy of this checkout's src/ and perfbench/ (uncommitted edits
-included), so no run writes into the checkout.  For each workload of
-BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py --workload W
---seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds; the side that
-runs first alternates from pair to pair.  Then each side times reproduce_table(t, 1),
-t = 1-9, in a fresh process, three times, alternated the same way.
+change is a copy of this checkout's src/, perfbench/, tests/ and pyproject.toml
+(uncommitted edits included), so no run writes into the checkout.  For each
+workload of BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py
+--workload W --seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds;
+the side that runs first alternates from pair to pair.  Then each side times
+reproduce_table(t, 1), t = 1-9, in a fresh process, three times, alternated the
+same way; last, each side runs the tier-1 suite once, the first side continuing
+the alternation.
 
 The file holds, per workload and end-to-end metric, each side's median and
 quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
 ratio of the medians and the share of pairs in which the change was better or
-equal; then the table wall times and the environment block of the runs.  Host
-speed drifts between sessions, so only the pairs of one file compare.
+equal; then the table wall times, each side's tier-1 wall time with its passed
+and failed counts, and the environment block of the runs.  Host speed drifts
+between sessions, so only the pairs of one file compare.
 """
 
 import argparse
 import json
+import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # per workload
 SEED = 21  # workload seed of the first pair
 TABLE_ROUNDS = 3
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 TIME_TABLES = """
 import json, sys, time
@@ -61,6 +68,18 @@ def run_side(side: Path, workload: str, seed: int, seconds: float) -> dict:
     env = next(line for line in lines if line.startswith("environment "))
     result["environment"] = json.loads(env[len("environment "):])
     return result
+
+
+def time_tier1(side: Path) -> dict:
+    """Wall time of one tier-1 run in side, with its passed and failed counts."""
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=side, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": "src"})
+    seconds = time.perf_counter() - start
+    counts = dict.fromkeys(("passed", "failed"), 0)
+    for count, outcome in re.findall(r"(\d+) (passed|failed|errors?)\b", done.stdout):
+        counts["passed" if outcome == "passed" else "failed"] += int(count)
+    return {"seconds": seconds, **counts}
 
 
 def summary(values) -> dict:
@@ -98,10 +117,11 @@ def main():
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         git("worktree", "add", "--detach", str(sides["parent"]), parent_commit)
         try:
-            for part in ("src", "perfbench"):
+            for part in ("src", "perfbench", "tests"):
                 shutil.copytree(ROOT / part, sides["change"] / part,
                                 ignore=shutil.ignore_patterns("__pycache__", "out"))
-            shutil.copy(ROOT / "BENCHMARK.json", sides["change"])
+            for part in ("BENCHMARK.json", "pyproject.toml"):
+                shutil.copy(ROOT / part, sides["change"])
             order = [("parent", "change"), ("change", "parent")]
             workloads, env = {}, {}
             for spec in bench["workloads"]:
@@ -128,6 +148,7 @@ def main():
                     done = subprocess.run([sys.executable, "-c", TIME_TABLES], cwd=sides[side],
                                           check=True, capture_output=True, text=True)
                     tables[side].append(json.loads(done.stdout))
+            tier1 = {side: time_tier1(sides[side]) for side in order[TABLE_ROUNDS % 2]}
         finally:
             git("worktree", "remove", "--force", str(sides["parent"]))
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -139,6 +160,7 @@ def main():
         "reproduce_table_s": {
             side: {table: statistics.median(run[table] for run in tables[side])
                    for table in tables[side][0]} for side in tables},
+        "tier1": tier1,
         "environment": env,
     }
     (ROOT / args.out).write_text(json.dumps(out, indent=1) + "\n")
