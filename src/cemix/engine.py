@@ -44,15 +44,22 @@ class IterationRecord:
     positive_payoffs: int
 
 
+def _lr_fault(lr):
+    """DegenerateUpdate unless every likelihood ratio is finite and nonnegative; an lr
+    that underflows to 0 under a far tilt is a zero weight."""
+    if not np.all(np.isfinite(lr) & (lr >= 0)):
+        return DegenerateUpdate("likelihood ratios must be finite and nonnegative")
+    return None
+
+
 def _block_sums(x, payoff, lr, post):
     """One block's partial update sums: with w = V*lr and wp = post * w, the mass w.sum(),
     the component masses wp.sum(0) and wp.T @ x; or the error that the block's payoffs or
     likelihood ratios call for.  The product runs over slices of at most _PRODUCT_MADDS."""
     if np.any(payoff < 0):
         return ValueError("payoffs must be nonnegative")
-    # an lr that underflows to 0 under a far tilt is a zero weight
-    if not np.all(np.isfinite(lr) & (lr >= 0)):
-        return DegenerateUpdate("likelihood ratios must be finite and nonnegative")
+    if fault := _lr_fault(lr):
+        return fault
     w = payoff * lr
     wp = post * w[:, None]
     wx = np.zeros((post.shape[1], x.shape[1]))
@@ -122,7 +129,8 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
     The values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
     surrogate_objective, from the same rows and the same block sums, with no (n, m)
     posterior array.  One pool map draws, weights and prices each of the _pilot_blocks
-    and takes its _block_sums; the main thread adds them in block order and builds the
+    and takes its _block_sums, or returns unpriced the DegenerateUpdate of a likelihood
+    ratio that is not finite; the main thread adds them in block order and builds the
     new theta; a second map over the blocks, which keep their draws, sums the objective.
     """
     d, m = theta.dim, theta.m
@@ -131,6 +139,8 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
         k = rows.stop - rows.start
         x, lr, post = np.empty((k, d)), np.empty(k), np.empty((k, m))
         _draw_rows(theta, n, stream, rows.start, x, lr, post)
+        if fault := _lr_fault(lr):  # rows that far out may overflow the payoff: not priced
+            return x, None, lr, fault
         payoff = model._payoff(x)
         return x, payoff, lr, _block_sums(x, payoff, lr, post)
 

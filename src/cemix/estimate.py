@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .mixture import MixtureParam, _draw_rows
-from .numerics import _block_rows, _blocks, _map
+from .numerics import _block_rows, _blocks, _submit
 from .rng import RngStream
 
 # a single likelihood ratio carrying more than this share of the total sum
@@ -39,10 +39,11 @@ class EstimateReport:
 
 
 def chunk_moments(vals: np.ndarray):
-    """(count, mean, M2) of one chunk of values, M2 being the sum of
-    squared deviations from the mean (two-pass)."""
+    """(count, mean, M2) of one chunk of values, M2 being the sum of squared
+    deviations from the mean (two-pass, squared in place: one temporary)."""
     mean = float(vals.mean())
-    return vals.size, mean, float(np.sum((vals - mean) ** 2))
+    dev = vals - mean
+    return vals.size, mean, float(np.sum(np.square(dev, out=dev)))
 
 
 def merge_moments(a, b):
@@ -64,28 +65,35 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     Chunk k takes the c rows of sample_mixture(theta, c, stream with counter
     offset k), c = _CHUNK but for a shorter last chunk.  Each row block of a
     chunk is drawn and weighted by _draw_rows and priced by model._payoff on
-    the thread pool, with no (c, d) array; after taking its lr range, a block
-    overwrites its lr with V^2 lr.  The chunks' chunk_moments are merged, and
-    their V^2 lr sums added, in chunk order by the main thread.
+    the thread pool, with no (c, d) array; a block returns its lr range and
+    overwrites its lr with V^2 lr.  Chunk k + 1 goes to the pool before the main
+    thread merges chunk k's chunk_moments and adds its V^2 lr sum, in chunk order,
+    so at most two chunks' lr and V lr vectors are alive.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     if model.dim != theta.dim:
         raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta.dim}")
-    moments = (0, 0.0, 0.0)
-    max_val, sum_sq, lr_ends = 0.0, 0.0, []
-    for k, start in enumerate(range(0, n, _CHUNK)):
-        c = min(_CHUNK, n - start)
+    def submit(k):  # (lr, vals, block futures) of chunk k
+        c = min(_CHUNK, n - k * _CHUNK)
         sub = stream.child(counter=stream.counter + k)
         lr, vals = np.empty(c), np.empty(c)
         def block(rows):
             x, w = np.empty((rows.stop - rows.start, theta.dim)), lr[rows]
             _draw_rows(theta, c, sub, rows.start, x, w)
-            lr_ends.extend((w.min(), w.max()))
+            ends = w.min(), w.max()
             payoff = model._payoff(x)
             np.multiply(payoff, w, out=vals[rows])
             np.multiply(payoff, vals[rows], out=w)
-        _map(block, _blocks(c, _block_rows(theta.dim)))
+            return ends
+        return lr, vals, _submit(block, _blocks(c, _block_rows(theta.dim)))
+
+    moments, max_val, sum_sq, lr_ends = (0, 0.0, 0.0), 0.0, 0.0, []
+    ahead, chunks = submit(0), -(-n // _CHUNK)
+    for k in range(1, chunks + 1):
+        lr, vals, futures = ahead  # drops chunk k - 2 before chunk k is allocated
+        ahead = submit(k) if k < chunks else None
+        lr_ends += [end for future in futures for end in future.result()]
         moments = merge_moments(moments, chunk_moments(vals))
         max_val = max(max_val, float(vals.max()))
         sum_sq += float(lr.sum())

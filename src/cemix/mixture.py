@@ -72,7 +72,8 @@ def min_tilt_distance(means) -> float:
     inf for a single row."""
     means = np.atleast_2d(np.asarray(means, dtype=float))
     i, j = np.triu_indices(means.shape[0], k=1)
-    return float(np.linalg.norm(means[i] - means[j], axis=1).min(initial=np.inf))
+    with np.errstate(over="ignore"):  # an infinite distance still parts two tilts
+        return float(np.linalg.norm(means[i] - means[j], axis=1).min(initial=np.inf))
 
 
 @dataclass
@@ -156,16 +157,23 @@ def posterior(theta: MixtureParam, x) -> np.ndarray:
     return post
 
 
+def _labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Component of each uniform u: the count of edges cumsum(weights)[:-1] below it, by
+    groups of at most 255 (a uint8 count each), = min(searchsorted(cumsum, u), m - 1)."""
+    edges = np.cumsum(weights)[:-1]
+    labels = np.zeros(len(u), dtype=np.intp)
+    for j in range(0, len(edges), 255):
+        labels += (u > edges[j:j + 255, None]).sum(axis=0, dtype=np.uint8)
+    return labels
+
+
 def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.ndarray,
                lr: np.ndarray, post: np.ndarray = None):
     """Rows [lo, lo + len(x)) of the n-row batch of sample_mixture, written into
-    the C-contiguous x, and their _lr into lr (and post).  Words [lo, hi) of the
-    stream pick the components (none drawn when m = 1); words n + [i*d, (i+1)*d)
-    give row i by inverse-CDF normals."""
-    labels = np.zeros(len(x), dtype=np.intp)
-    if theta.m > 1:
-        u = stream._fill(np.empty(len(x)), lo)
-        np.minimum(np.searchsorted(np.cumsum(theta.weights), u), theta.m - 1, out=labels)
+    the C-contiguous x, and their _lr into lr (and post).  Words [lo, hi) pick the
+    _labels (none drawn when m = 1); words n + [i*d, (i+1)*d) give row i by normals."""
+    labels = (_labels(theta.weights, stream._fill(np.empty(len(x)), lo)) if theta.m > 1
+              else np.zeros(len(x), dtype=np.intp))
     flat = x.reshape(-1)
     stream._fill(flat, n + lo * theta.dim)
     ndtri(flat, out=flat)

@@ -350,10 +350,12 @@ class CevDigital(Model):
             raise ApproxUnavailable("analytic drift needs gamma < 1")
         target = np.exp(-self.r * self.maturity) * self.strike / cost
         lift = target ** (1.0 - gamma) - s0 ** (1.0 - gamma)
-        span = 1.0 - np.exp(-self.r * (1.0 - gamma) * self.maturity)
-        if span == 0.0:  # r = 0, or too small to move exp: the r -> 0 limit
-            return lift / (sigma * (1.0 - gamma) * self.maturity)
-        return (self.r / sigma) * lift / span
+        rate = self.r * (1.0 - gamma) * self.maturity
+        if abs(rate) < 1e-5:  # 1 - exp(-rate) cancels here, -expm1(-rate) does not
+            limit = lift / (sigma * (1.0 - gamma) * self.maturity)  # the r -> 0 limit
+            span = -np.expm1(-rate)
+            return limit if span == 0.0 else limit * (rate / span)
+        return (self.r / sigma) * lift / (1.0 - np.exp(-rate))
 
     def approx_tilts(self):
         """Innovation-space mean shifts for drifting W (component 1) or B

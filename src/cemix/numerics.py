@@ -53,6 +53,11 @@ def _map(fn: Callable, items) -> list:
     return list(_POOL.map(fn, items))
 
 
+def _submit(fn: Callable, items) -> list:
+    """The futures of fn(item) on the pool, not waited for; fn is as for _map."""
+    return [_POOL.submit(fn, item) for item in items]
+
+
 def cholesky(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular C with C @ C.T == sigma.
 

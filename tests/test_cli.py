@@ -383,6 +383,14 @@ class TestCliMain:
         assert main(["run", str(cfg)]) == EXIT_DEGENERATE
         assert "degenerate" in capsys.readouterr().err
 
+    def test_overflowed_perturbation_degenerate_exit(self, tmp_path, capsys):
+        # tilts near 1e300: their distance overflows to inf, which still parts them, and
+        # the pilot's likelihood ratios are not finite, so no block is priced
+        cfg = write_config(tmp_path / "cfg.yaml", model=RAINBOW_YAML,
+                           init={"method": "perturbation", "scale": 1.0e300})
+        assert main(["run", str(cfg)]) == EXIT_DEGENERATE
+        assert "likelihood ratios" in capsys.readouterr().err
+
     def test_underflowed_lr_runs(self, tmp_path, capsys):
         # draws near 40 get lr = exp(-800) = 0, a zero weight, not an error
         cfg = write_config(tmp_path / "cfg.yaml",

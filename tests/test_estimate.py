@@ -219,6 +219,21 @@ class TestFusedPass:
                 tracemalloc.stop()
         assert peak < 20e6
 
+    def test_at_most_two_chunks_in_flight(self, monkeypatch):
+        # six chunks of the d = 1 tail on two workers: two chunks' lr and V lr vectors
+        # take 6.4 MB, all six would take 19.2 MB
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        theta = MixtureParam([0.7, 0.3], [[2.3], [-2.8]])
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(numerics, "_POOL", pool)
+            tracemalloc.start()
+            try:
+                is_estimate(model, theta, 6 * estimate._CHUNK, RngStream(20, phase="final_is"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 16e6
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             is_estimate(Constant(), MixtureParam.single([0.0]), 100, RngStream(16))
@@ -298,9 +313,9 @@ class TestPlainVariance:
         theta = approx_theta(model)
         monkeypatch.setattr(estimate, "_CHUNK", 3 * _block_rows(model.dim) + 37)
         reports = []
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             with ThreadPoolExecutor(workers) as pool:
                 monkeypatch.setattr(numerics, "_POOL", pool)
                 reports.append(is_estimate(model, theta, 2 * estimate._CHUNK + 501,
                                            RngStream(19, phase="final_is")))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]

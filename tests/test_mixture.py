@@ -9,6 +9,7 @@ from scipy.special import logsumexp, ndtri
 from cemix.errors import DimensionMismatch
 from cemix.mixture import (
     MixtureParam,
+    _labels,
     _lr,
     likelihood_ratio,
     log_mixture_density,
@@ -235,6 +236,24 @@ class TestTiltSlices:
         assert log_mixture_density(theta, x).shape == (0,)
 
 
+class TestLabels:
+    @given(st.one_of(st.integers(1, 1024), st.sampled_from([254, 255, 256, 510, 511, 512])),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted(self, m, seed, floored):
+        # weights at the update's 1e-300 floor, u at and next to every cumulative
+        # weight, and the extreme uniforms of RngStream._fill
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 1.0, m)
+        w[rng.uniform(size=m) < floored] = 1e-300
+        w /= w.sum()
+        edges = np.cumsum(w)
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+                            [2.0 ** -53, np.nextafter(1.0, 0.0)], rng.uniform(size=100)])
+        np.testing.assert_array_equal(_labels(w, u),
+                                      np.minimum(np.searchsorted(edges, u), m - 1))
+
+
 class TestSampleMixture:
     def test_deterministic(self):
         theta = MixtureParam([0.5, 0.5], [[1.0], [-1.0]])
@@ -261,6 +280,13 @@ class TestSampleMixture:
         stream = RngStream(9, phase="final_is", iteration=2, counter=7)
         x, _ = serial_sample(theta, n, stream)
         np.testing.assert_array_equal(sample_mixture(theta, n, stream).x, x)
+
+    def test_many_components_match_one_serial_draw(self):
+        # 300 components: the labels count their edges in two groups
+        theta = random_theta(np.random.default_rng(10), 300, 2)
+        stream = RngStream(9, phase="final_is")
+        x, _ = serial_sample(theta, 2000, stream)
+        np.testing.assert_array_equal(sample_mixture(theta, 2000, stream).x, x)
 
     def test_single_component_moments(self):
         n = 100_000

@@ -400,6 +400,13 @@ class TestCevDigital:
         np.testing.assert_allclose(self.make(strike=60.0, r=1e-6).approx_tilts(), limit,
                                    rtol=1e-5)
 
+    def test_tiny_rate_drift_does_not_cancel(self):
+        # 1 - exp(-r(1-gamma)T) keeps few digits at r = 1e-15; -expm1 keeps them all
+        tilts = self.make(strike=60.0, r=0.0).approx_tilts()
+        for r in (1e-15, 1e-13):
+            np.testing.assert_allclose(self.make(strike=60.0, r=r).approx_tilts(), tilts,
+                                       rtol=1e-12)
+
     def test_at_the_forward_zero_drift(self):
         model = self.make(strike=50.0 * math.exp(0.03), c1=1.0)
         assert abs(model.approx_tilts()[0, 0]) <= 1e-12

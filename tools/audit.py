@@ -3,8 +3,8 @@
 Each row of the named tables runs at every seed of the range.  Per row the
 audit prints
 - z = (estimate - reference) / SE_diff, as its mean, its mean |z| and its
-  largest |z| over the seeds.  SE_diff is the row's SE against an exact reference (tables 1-3)
-  and SE * sqrt(2) against a paper value, itself a Monte Carlo estimate
+  largest |z| over the seeds.  SE_diff is the row's SE against an exact reference (tables
+  1-3 and 5) and SE * sqrt(2) against a paper value, itself a Monte Carlo estimate
   (tools/references.py);
 - the var_ratio spread over the seeds: median, min and max;
 - next to it, the same spread of a baseline ratio worked out here: the

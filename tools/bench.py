@@ -3,8 +3,8 @@
     python tools/bench.py PARENT --out BENCH_18.json
 
 PARENT is checked out with `git worktree add` into a temporary directory.  The
-change is a copy of this checkout's src/, perfbench/, tests/ and pyproject.toml
-(uncommitted edits included), so no run writes into the checkout.  For each
+change is a copy of this checkout's src/, perfbench/, tests/, tools/ and
+pyproject.toml (uncommitted edits included), so no run writes into the checkout.  For each
 workload of BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py
 --workload W --seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds;
 the side that runs first alternates from pair to pair.  Then each side times
@@ -117,7 +117,7 @@ def main():
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         git("worktree", "add", "--detach", str(sides["parent"]), parent_commit)
         try:
-            for part in ("src", "perfbench", "tests"):
+            for part in ("src", "perfbench", "tests", "tools"):
                 shutil.copytree(ROOT / part, sides["change"] / part,
                                 ignore=shutil.ignore_patterns("__pycache__", "out"))
             for part in ("BENCHMARK.json", "pyproject.toml"):
