@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateUpdate, DimensionMismatch
-from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, SampleBatch, _draw_rows, _log_density
+from .mixture import (DEFAULT_WEIGHT_FLOOR, LOG_2PI, MixtureParam, SampleBatch, _draw_rows,
+                      _log_density)
 from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks
 from .rng import RngStream
 
@@ -39,8 +40,8 @@ class CeConfig(PilotConfig):
 @dataclass
 class IterationRecord:
     iteration: int
-    theta: MixtureParam
-    objective: float
+    theta: MixtureParam  # the update that the iteration's pilot gave
+    objective: float     # the CE objective of the theta that drew the pilot, on that pilot
     positive_payoffs: int
 
 
@@ -53,19 +54,19 @@ def _lr_fault(lr):
 
 
 def _block_sums(x, payoff, lr, post):
-    """One block's partial update sums: with w = V*lr and wp = post * w, the mass w.sum(),
-    the component masses wp.sum(0) and wp.T @ x; or the error that the block's payoffs or
-    likelihood ratios call for.  The product runs over slices of at most _PRODUCT_MADDS."""
+    """One block's update sums from its (m, k) posteriors: with w = V*lr and wp = post * w,
+    C-ordered for any post layout, w.sum(), wp.sum(axis=1) and wp @ x over row slices of at
+    most _PRODUCT_MADDS; or the error that the block's payoffs or likelihood ratios call for."""
     if np.any(payoff < 0):
         return ValueError("payoffs must be nonnegative")
     if fault := _lr_fault(lr):
         return fault
     w = payoff * lr
-    wp = post * w[:, None]
-    wx = np.zeros((post.shape[1], x.shape[1]))
+    wp = np.multiply(post, w, order="C")
+    wx = np.zeros((len(wp), x.shape[1]))
     for rows in _blocks(len(x), _PRODUCT_MADDS // wx.size):
-        wx += wp[rows].T @ x[rows]
-    return w.sum(), wp.sum(axis=0), wx
+        wx += wp[:, rows] @ x[rows]
+    return w.sum(), wp.sum(axis=1), wx
 
 
 def _update(parts, theta_prev: MixtureParam, weight_floor: float) -> MixtureParam:
@@ -94,15 +95,15 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
     weight_floor=0 to get the raw EM-ascent update (weights may then hit
     zero, which the MixtureParam constructor rejects, so a tiny positive
     floor is applied in that case only where needed).  The sums run over
-    the _pilot_blocks on the calling thread, as run_ce's fused pilot runs
-    them on the pool.
+    the _pilot_blocks on the calling thread, on the (m, k) posteriors
+    batch.posteriors[rows].T, as run_ce's fused pilot runs them on the pool.
     """
     payoff = np.asarray(payoff, dtype=float)
     n = batch.x.shape[0]
     if not (payoff.shape == (n,) == batch.lr.shape and batch.posteriors.shape[0] == n):
         raise ValueError("inconsistent pilot batch and payoff lengths")
     return _update([_block_sums(batch.x[rows], payoff[rows], batch.lr[rows],
-                                batch.posteriors[rows])
+                                batch.posteriors[rows].T)
                     for rows in _pilot_blocks(n, batch.x.shape[1])],
                    theta_prev, weight_floor)
 
@@ -124,34 +125,37 @@ def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixturePa
 
 
 def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: float):
-    """One fused CE iteration: (new theta, objective under it, positive-payoff count).
+    """One fused CE iteration: (new theta, objective under theta, positive-payoff count).
 
     The values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
-    surrogate_objective, from the same rows and the same block sums, with no (n, m)
-    posterior array.  One pool map draws, weights and prices each of the _pilot_blocks
-    and takes its _block_sums, or returns unpriced the DegenerateUpdate of a likelihood
-    ratio that is not finite; the main thread adds them in block order and builds the
-    new theta; a second map over the blocks, which keep their draws, sums the objective.
+    surrogate_objective under theta, from the same rows, with no (n, m) posterior array.
+    One pool map draws, weights and prices each of the _pilot_blocks and takes its
+    _block_sums and its objective sum, log h = log phi_d - log lr under the drawing theta;
+    or returns unpriced the DegenerateUpdate of a likelihood ratio that is not finite.
+    The main thread adds them in block order and builds the new theta.
     """
     d, m = theta.dim, theta.m
 
     def draw(rows):
         k = rows.stop - rows.start
-        x, lr, post = np.empty((k, d)), np.empty(k), np.empty((k, m))
+        x, lr, post = np.empty((k, d)), np.empty(k), np.empty((m, k))
         _draw_rows(theta, n, stream, rows.start, x, lr, post)
         if fault := _lr_fault(lr):  # rows that far out may overflow the payoff: not priced
-            return x, None, lr, fault
+            return 0, 0.0, fault
         payoff = model._payoff(x)
-        return x, payoff, lr, _block_sums(x, payoff, lr, post)
+        w = payoff * lr
+        kept = w > 0  # lr > 0 there: its log is finite
+        log_h = -0.5 * np.einsum("nd,nd->n", x, x)[kept] - 0.5 * d * LOG_2PI - np.log(lr[kept])
+        return (int(np.count_nonzero(payoff > 0)), float((w[kept] * log_h).sum()),
+                _block_sums(x, payoff, lr, post))
 
     drawn = _map(draw, _pilot_blocks(n, d))
-    new = _update([block[3] for block in drawn], theta, weight_floor)
-    objective = sum(_map(lambda block: _objective_sum(new, *block[:3]), drawn)) / n
-    return new, objective, sum(int(np.count_nonzero(block[1] > 0)) for block in drawn)
+    new = _update([block[2] for block in drawn], theta, weight_floor)
+    return new, sum(block[1] for block in drawn) / n, sum(block[0] for block in drawn)
 
 
 def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
-    """Fixed-count CE iterations, each one fused _pilot: sample, price, update.
+    """Fixed-count CE iterations, each one fused _pilot (one pool map): sample, price, update.
 
     Returns (theta_final, trace).  DegenerateUpdate is re-raised with the
     failing iteration index attached; it signals an inadequate

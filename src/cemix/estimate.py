@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .mixture import MixtureParam, _draw_rows
 from .numerics import _block_rows, _blocks, _submit
 from .rng import RngStream
@@ -68,7 +68,8 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     the thread pool, with no (c, d) array; a block returns its lr range and
     overwrites its lr with V^2 lr.  Chunk k + 1 goes to the pool before the main
     thread merges chunk k's chunk_moments and adds its V^2 lr sum, in chunk order,
-    so at most two chunks' lr and V lr vectors are alive.
+    so at most two chunks' lr and V lr vectors are alive.  Payoffs so large that a
+    moment is not finite raise ConfigError.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
@@ -83,8 +84,9 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
             _draw_rows(theta, c, sub, rows.start, x, w)
             ends = w.min(), w.max()
             payoff = model._payoff(x)
-            np.multiply(payoff, w, out=vals[rows])
-            np.multiply(payoff, vals[rows], out=w)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked once summed
+                np.multiply(payoff, w, out=vals[rows])
+                np.multiply(payoff, vals[rows], out=w)
             return ends
         return lr, vals, _submit(block, _blocks(c, _block_rows(theta.dim)))
 
@@ -94,10 +96,13 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
         lr, vals, futures = ahead  # drops chunk k - 2 before chunk k is allocated
         ahead = submit(k) if k < chunks else None
         lr_ends += [end for future in futures for end in future.result()]
-        moments = merge_moments(moments, chunk_moments(vals))
-        max_val = max(max_val, float(vals.max()))
-        sum_sq += float(lr.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = merge_moments(moments, chunk_moments(vals))
+            max_val = max(max_val, float(vals.max()))
+            sum_sq += float(lr.sum())
     _, est, m2 = moments
+    if not math.isfinite(est + m2 + sum_sq):
+        raise ConfigError("payoffs out of range: a moment of the estimate is not finite")
     se = math.sqrt(m2 / (n - 1) / n)
     return EstimateReport(
         estimate=est,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PilotConfig, mixture_update
+from .engine import PilotConfig, _lr_fault, mixture_update
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
 from .mixture import MixtureParam, min_tilt_distance, sample_mixture
 from .models import require_init
@@ -52,7 +52,7 @@ def init_perturbation(m: int, base, scale: float, stream: RngStream,
     noise from words [0, m*d) of the stream.
 
     Identical initial tilts would stay identical through every update, so
-    means that are not pairwise distinct raise ConfigError.
+    means that are not finite and pairwise distinct raise ConfigError.
     """
     base = np.atleast_1d(np.asarray(base, dtype=float))
     if dim is not None and base.size == 1:
@@ -62,8 +62,9 @@ def init_perturbation(m: int, base, scale: float, stream: RngStream,
     u = np.empty((m, base.size))
     stream._fill(u.reshape(-1), 0)
     means = base + (-scale + 2 * scale * u)
-    if not min_tilt_distance(means) > 0:  # also a NaN from an overflowed mean
-        raise ConfigError("perturbed means are not pairwise distinct")
+    # an overflowed mean is inf, and the distance of two is NaN
+    if not (np.all(np.isfinite(means)) and min_tilt_distance(means) > 0):
+        raise ConfigError("perturbed means are not finite and pairwise distinct")
     return MixtureParam.uniform(means)
 
 
@@ -107,6 +108,8 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     for stage in range(cfg.max_stages):
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="init", iteration=stream.iteration + stage))
+        if fault := _lr_fault(batch.lr):  # rows that far out may overflow the levels
+            raise fault
         levels = model.rarity_levels(batch.x)
         if levels.shape[1] != m:
             raise ConfigError(f"rarity_ce needs one component per rarity level: "

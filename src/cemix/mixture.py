@@ -72,7 +72,8 @@ def min_tilt_distance(means) -> float:
     inf for a single row."""
     means = np.atleast_2d(np.asarray(means, dtype=float))
     i, j = np.triu_indices(means.shape[0], k=1)
-    with np.errstate(over="ignore"):  # an infinite distance still parts two tilts
+    # an infinite distance still parts two tilts; a NaN one, from inf - inf, fails > 0
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.linalg.norm(means[i] - means[j], axis=1).min(initial=np.inf))
 
 
@@ -82,7 +83,7 @@ class SampleBatch:
 
     x: np.ndarray           # (n, d); perfbench's tracer reads sample_mixture(...).x
     lr: np.ndarray          # (n,), likelihood ratios, >= 0 (0 once underflowed)
-    posteriors: np.ndarray  # (n, m), C-ordered: the update's column-sum bits depend on it
+    posteriors: np.ndarray  # (n, m), the .T view of the (m, n) array that cemix writes
 
 
 def _as_batch(x, dim: int) -> np.ndarray:
@@ -116,12 +117,12 @@ def _tilt_slices(theta: MixtureParam, x: np.ndarray):
 
 
 def _lr(theta: MixtureParam, x: np.ndarray, lr: np.ndarray, post: np.ndarray = None):
-    """likelihood_ratio of the rows of x into lr and, given the (n, m) post, their
-    posteriors into it."""
+    """likelihood_ratio of the rows of x into lr and, given the component-major (m, n)
+    post, their posteriors into it."""
     for rows, top, e, s in _tilt_slices(theta, x):
         np.divide(np.exp(-top), s, out=lr[rows])
         if post is not None:
-            np.divide(e, s, out=post[rows].T)
+            np.divide(e, s, out=post[:, rows])
 
 
 def _log_density(theta: MixtureParam, x: np.ndarray) -> np.ndarray:
@@ -152,9 +153,9 @@ def posterior(theta: MixtureParam, x) -> np.ndarray:
     """(n, m) component posteriors h_theta(j | x) = exp(t_j) / sum_i exp(t_i);
     rows sum to 1."""
     x = _as_batch(x, theta.dim)
-    post = np.empty((len(x), theta.m))
+    post = np.empty((theta.m, len(x)))
     _lr(theta, x, np.empty(len(x)), post)
-    return post
+    return post.T
 
 
 def _labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -169,16 +170,16 @@ def _labels(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.ndarray,
                lr: np.ndarray, post: np.ndarray = None):
-    """Rows [lo, lo + len(x)) of the n-row batch of sample_mixture, written into
-    the C-contiguous x, and their _lr into lr (and post).  Words [lo, hi) pick the
-    _labels (none drawn when m = 1); words n + [i*d, (i+1)*d) give row i by normals."""
+    """Rows [lo, lo + len(x)) of the n-row batch of sample_mixture, written into the
+    C-contiguous x, and their _lr into lr (and the (m, len(x)) post).  Words [lo, hi) pick
+    the _labels (none drawn when m = 1); words n + [i*d, (i+1)*d) give row i by normals."""
     labels = (_labels(theta.weights, stream._fill(np.empty(len(x)), lo)) if theta.m > 1
               else np.zeros(len(x), dtype=np.intp))
     flat = x.reshape(-1)
     stream._fill(flat, n + lo * theta.dim)
     ndtri(flat, out=flat)
     for rows in _blocks(len(x), 2 ** 16 // theta.dim):  # bounds the gathered-means temporary
-        x[rows] += theta.means[labels[rows]]
+        x[rows] += np.take(theta.means, labels[rows], axis=0)
     _lr(theta, x, lr, post)
 
 
@@ -188,7 +189,7 @@ def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatc
     the sampler's one program caller is the rarity-stage pilot."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x, lr, post = np.empty((n, theta.dim)), np.empty(n), np.empty((n, theta.m))
-    _map(lambda rows: _draw_rows(theta, n, stream, rows.start, x[rows], lr[rows], post[rows]),
+    x, lr, post = np.empty((n, theta.dim)), np.empty(n), np.empty((theta.m, n))
+    _map(lambda rows: _draw_rows(theta, n, stream, rows.start, x[rows], lr[rows], post[:, rows]),
          _pilot_blocks(n, theta.dim))
-    return SampleBatch(x, lr, post)
+    return SampleBatch(x, lr, post.T)

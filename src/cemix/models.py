@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import ApproxUnavailable, ConfigError
 from .mixture import _as_batch
-from .numerics import _block_rows, _blocks, _map, bisect_root, cholesky
+from .numerics import _block_rows, _blocks, _fold_columns, _map, bisect_root, cholesky
 
 MAX_PYRAMID_ASSETS = 10  # 2^d mixture components; memory/pilot-coverage cap
 
@@ -78,10 +78,12 @@ class TwoSidedTail(Model):
         against delta*a, where rounding in (x/a)*a could drop the very
         sample that set delta.
         """
-        return _as_batch(x, 1) / np.array([self.a, self.b])
+        with np.errstate(over="ignore"):  # past a tiny a or b: an infinite level
+            return _as_batch(x, 1) / np.array([self.a, self.b])
 
     def rarity_payoff(self, delta, x):
-        return (self.rarity_levels(x) >= delta).any(axis=1).astype(float)
+        levels = zip(self.rarity_levels(x).T, np.broadcast_to(delta, 2))
+        return _fold_columns(np.logical_or, (lv >= bound for lv, bound in levels)).astype(float)
 
     def approx_tilts(self):
         return np.array([[self.a], [self.b]])
@@ -179,11 +181,16 @@ class CorrelatedGbm(Model):
         return self.s0.size
 
     def _terminal_prices(self, x):
-        """Undiscounted S_T^(j) per sample and asset."""
-        cx = _as_batch(x, self.dim) @ self.chol.T
-        expo = (self.r - 0.5 * self.sigmas ** 2) * self.maturity \
-            + self.sigmas * np.sqrt(self.maturity) * cx
-        return self.s0 * np.exp(expo)
+        """Undiscounted S_T^(j) per sample and asset, worked in place one asset at a time."""
+        prices = _as_batch(x, self.dim) @ self.chol.T
+        drift = (self.r - 0.5 * self.sigmas ** 2) * self.maturity
+        vol = self.sigmas * np.sqrt(self.maturity)
+        for column, v, mu, s0 in zip(prices.T, vol, drift, self.s0):
+            column *= v
+            column += mu
+            np.exp(column, out=column)
+            column *= s0
+        return prices
 
     def _log_moves(self, target):
         """Per asset, the standardized log move (log(target/s0) - rT)/(sigma sqrt(T))
@@ -213,8 +220,9 @@ class RainbowOption(CorrelatedGbm):
 
     def _payoff(self, x):
         disc = np.exp(-self.r * self.maturity)
-        best = (disc * self._terminal_prices(x)).max(axis=1)
-        return np.maximum(best - disc * self.strike, 0.0)
+        prices = self._terminal_prices(x)
+        prices *= disc
+        return np.maximum(_fold_columns(np.maximum, prices.T) - disc * self.strike, 0.0)
 
     def rarity_levels(self, x):
         """(n, d) rarity reached per asset: terminal price over strike."""
@@ -223,11 +231,12 @@ class RainbowOption(CorrelatedGbm):
     def rarity_payoff(self, delta, x):
         disc = np.exp(-self.r * self.maturity)
         prices = self._terminal_prices(x)
-        delta = np.asarray(delta, dtype=float)
-        h = (disc * prices - disc * delta[None, :] * self.strike).max(axis=1)
+        delta = np.broadcast_to(delta, self.dim)
+        columns = list(zip(prices.T, delta, disc * delta * self.strike))
+        h = _fold_columns(np.maximum, (disc * p - k for p, _, k in columns))
         # the level comparison of init_rarity_ce, so the sample that set
         # delta is in the set
-        in_set = np.any(prices / self.strike >= delta[None, :], axis=1)
+        in_set = _fold_columns(np.logical_or, (p / self.strike >= dj for p, dj, _ in columns))
         return np.maximum(h, 0.0) * in_set
 
     def approx_tilts(self):
@@ -256,7 +265,10 @@ class PyramidOption(CorrelatedGbm):
         return 2 ** self.dim
 
     def _payoff(self, x):
-        spread = np.abs(self._terminal_prices(x) - self.asset_strikes).sum(axis=1)
+        prices = self._terminal_prices(x)
+        for column, strike in zip(prices.T, self.asset_strikes):
+            np.abs(np.subtract(column, strike, out=column), out=column)
+        spread = prices.sum(axis=1)  # not a left fold: its bits differ from 8 assets on
         return np.exp(-self.r * self.maturity) * np.maximum(spread - self.strike, 0.0)
 
     def sign_patterns(self):
@@ -339,9 +351,11 @@ class CevDigital(Model):
         return grow * xs, grow * ys
 
     def _payoff(self, x):
-        # undiscounted hit probability of the better asset reaching K
-        s_t, h_t = self._euler(x)
-        hit = np.maximum(self.c1 * s_t, self.c2 * h_t) >= self.strike
+        # undiscounted hit probability of the better asset reaching K; a level past the
+        # doubles is inf, which reaches any K, or NaN once inf meets -inf, which reaches none
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_t, h_t = self._euler(x)
+            hit = np.maximum(self.c1 * s_t, self.c2 * h_t) >= self.strike
         return hit.astype(float)
 
     def _drift(self, sigma, gamma, s0, cost):

@@ -58,6 +58,16 @@ def _submit(fn: Callable, items) -> list:
     return [_POOL.submit(fn, item) for item in items]
 
 
+def _fold_columns(op, columns) -> np.ndarray:
+    """The binary ufunc op folded left over the 1-d columns into a copy of the first,
+    op(op(c0, c1), c2)...: a row reduction such as max(axis=1) that loops along the rows."""
+    columns = iter(columns)
+    out = np.array(next(columns))
+    for column in columns:
+        op(out, column, out=out)
+    return out
+
+
 def cholesky(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular C with C @ C.T == sigma.
 

@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 from cemix.errors import DegenerateUpdate
 from cemix.estimate import LR_CONCENTRATION_SHARE, chunk_moments, merge_moments
-from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
+from cemix.mixture import MixtureParam, likelihood_ratio, log_mixture_density, sample_mixture
 
 
 def uniforms(stream, size) -> np.ndarray:
@@ -127,3 +127,52 @@ def pyramid_tilts(model):
             / (model.sigmas * np.sqrt(model.maturity))
         tilts[i] = solve_triangular(model.chol, eta, lower=True)
     return tilts
+
+
+def block_sums(x, payoff, lr, post):
+    """A block's update sums from its (k, m) posteriors, row-major: the mass of
+    w = V*lr, the component masses (post * w).sum(0) and (post * w).T @ x."""
+    w = payoff * lr
+    wp = post * w[:, None]
+    return w.sum(), wp.sum(axis=0), wp.T @ x
+
+
+def objective_sum(theta: MixtureParam, x, payoff, lr) -> float:
+    """Sum of V*lr * log h_theta over the rows of a block with V > 0."""
+    active = payoff > 0
+    if not np.any(active):
+        return 0.0
+    return float((payoff[active] * lr[active] * log_mixture_density(theta, x[active])).sum())
+
+
+def gbm_prices(model, x):
+    """Terminal prices of a CorrelatedGbm by whole-row broadcasts:
+    s0 * exp((r - sigma^2 / 2) T + sigma sqrt(T) * (x @ chol.T))."""
+    expo = (model.r - 0.5 * model.sigmas ** 2) * model.maturity \
+        + model.sigmas * np.sqrt(model.maturity) * (x @ model.chol.T)
+    return model.s0 * np.exp(expo)
+
+
+def rainbow_payoff(model, x):
+    """(max_j disc * S_T^(j) - disc * K)^+ by a row max."""
+    disc = np.exp(-model.r * model.maturity)
+    return np.maximum((disc * gbm_prices(model, x)).max(axis=1) - disc * model.strike, 0.0)
+
+
+def rainbow_rarity_payoff(model, delta, x):
+    """The rainbow's delta-scaled payoff on the rows whose level reaches delta."""
+    disc = np.exp(-model.r * model.maturity)
+    prices = gbm_prices(model, x)
+    h = (disc * prices - disc * delta[None, :] * model.strike).max(axis=1)
+    return np.maximum(h, 0.0) * np.any(prices / model.strike >= delta[None, :], axis=1)
+
+
+def pyramid_payoff(model, x):
+    """disc * (sum_j |S_T^(j) - K_j| - K)^+ by a row sum."""
+    spread = np.abs(gbm_prices(model, x) - model.asset_strikes).sum(axis=1)
+    return np.exp(-model.r * model.maturity) * np.maximum(spread - model.strike, 0.0)
+
+
+def tail_rarity_payoff(model, delta, x):
+    """1 where x/a >= delta[0] or x/b >= delta[1], by a row any."""
+    return (x / np.array([model.a, model.b]) >= delta).any(axis=1).astype(float)

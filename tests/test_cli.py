@@ -5,12 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cemix import numerics
 from cemix.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_STAGNANT, load_config, main
@@ -476,6 +480,8 @@ class TestCliMain:
          "sigma*sqrt(maturity)"),
         ({"model": {**CEV_YAML, "sigma1": 1.0e+300}, "init": {"method": "approx"}},
          "sigma*sqrt(maturity)"),
+        ({"model": RAINBOW_YAML, "init": {"method": "perturbation", "scale": 1.7e+308}},
+         "pairwise distinct"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
@@ -486,7 +492,7 @@ class TestCliMain:
             "init_means_width", "init_base_width", "max_stages_zero", "rarity_ce_three_means",
             "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1",
             "cev_approx_tilts_not_finite", "cev_rate_unbounded", "asian_sigma_unbounded",
-            "cev_sigma_unbounded"])
+            "cev_sigma_unbounded", "perturbation_overflow"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -525,3 +531,81 @@ class TestCliMain:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 4
         assert "var_ratio" in capsys.readouterr().out
+
+
+# the config fuzz: each model of the benchmark tables (few Asian dates and Euler steps),
+# one parameter scaled by one of these factors, every init the model takes, and
+# small CE and sampling sizes
+FUZZ_MODELS = [{"name": "two_sided_tail", "a": 1.0, "b": -1.5}, RAINBOW_YAML, PYRAMID_YAML,
+               {**ASIAN_YAML, "n_dates": 4}, {**CEV_YAML, "n_steps": 5}]
+FUZZ_FACTORS = [1.0, 0.5, 2.0, 0.0, -1.0, 1e-300, 1e-8, 1e8, 1e300]
+COUNT_PARAMS = ("name", "n_dates", "n_steps")  # sized work: not scaled
+
+
+@st.composite
+def fuzz_configs(draw):
+    model = dict(draw(st.sampled_from(FUZZ_MODELS)))
+    key = draw(st.sampled_from(sorted(set(model) - set(COUNT_PARAMS))))
+    model[key] = (draw(st.sampled_from(FUZZ_FACTORS)) * np.asarray(model[key])).tolist()
+    method = draw(st.sampled_from(MODEL_REGISTRY[model["name"]].inits))
+    init = {"method": method}
+    if method != "approx":
+        init["scale"] = draw(st.sampled_from([0.1, 1.0, 0.0, 1e300, 1.7e308]))
+        init["m"] = draw(st.sampled_from([None, 1, 2, 3]))
+    if method == "rarity_ce":
+        init["rho"] = draw(st.sampled_from([0.05, 0.5, 1e-6]))
+        init["max_stages"] = draw(st.sampled_from([1, 3, 50]))
+    return {"model": model, "init": init,
+            "ce": {"pilot_size": draw(st.sampled_from([1, 2, 50, 500])),
+                   "iterations": draw(st.integers(1, 2)),
+                   "weight_floor": draw(st.sampled_from([0.0, 1e-4, 0.5]))},
+            "sampling": {"n": draw(st.sampled_from([2, 100, 2000])),
+                         "seed": draw(st.integers(0, 3))}}
+
+
+def fuzz_case(model, init, pilot_size=500, n=2000):
+    return {"model": model, "init": init, "ce": {"pilot_size": pilot_size, "iterations": 2},
+            "sampling": {"n": n, "seed": 1}}
+
+
+@given(fuzz_configs())
+@example(fuzz_case(RAINBOW_YAML, {"method": "perturbation", "scale": 1.7e+308}))
+@example(fuzz_case(RAINBOW_YAML, {"method": "perturbation", "scale": 1.0e+300}))
+@example(fuzz_case({**ASIAN_YAML, "maturity": 1.0e+300}, {"method": "approx"}))
+@example(fuzz_case({**CEV_YAML, "r": 0.0, "n_steps": 5}, {"method": "approx"}))
+@example(fuzz_case({**CEV_YAML, "r": 1e-12, "n_steps": 5}, {"method": "approx"}))
+@example(fuzz_case({**CEV_YAML, "strike": 1.0e+308, "c1": 1.0e-10, "n_steps": 5},
+                   {"method": "approx"}))
+@example(fuzz_case({"name": "two_sided_tail", "a": 1.0, "b": -1.5},
+                   {"method": "perturbation", "means": [[1.0e160], [-0.1]]}))
+@example(fuzz_case({"name": "two_sided_tail", "a": 1.0, "b": -1.5},
+                   {"method": "perturbation", "means": [[40.0], [-0.1]]}))
+@example(fuzz_case({"name": "two_sided_tail", "a": 1.0, "b": -1.5},
+                   {"method": "perturbation", "scale": 1.7e+308, "m": 1}))
+@example(fuzz_case({"name": "two_sided_tail", "a": 1.0, "b": -1.5e-300},
+                   {"method": "rarity_ce", "scale": 1.0e+300, "m": 1, "rho": 0.5}))
+@example(fuzz_case(RAINBOW_YAML, {"method": "rarity_ce", "scale": 1.0e+300, "m": 1}))
+@example(fuzz_case({**PYRAMID_YAML, "asset_strikes": [5.5e+301, 5.0e+301]},
+                   {"method": "perturbation", "scale": 0.1}, pilot_size=1, n=2))
+@example(fuzz_case({**CEV_YAML, "c1": 1.0e-300, "n_steps": 5}, {"method": "approx"}))
+@settings(max_examples=300, deadline=None)
+def test_config_fuzz(raw):
+    # any config ends in a typed exit with no warning; a row that exits 0 holds finite
+    # numbers, but for rel_error at a zero estimate and var_ratio at a zero SE (inf)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out.csv"
+        path.write_text(yaml.safe_dump({**raw, "output": {"path": str(out)}}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", str(path)])
+        assert code in (0, EXIT_CONFIG, EXIT_DEGENERATE, EXIT_STAGNANT)
+        if code:
+            return
+        row = dict(zip(CSV_HEADER.split(","), next(csv.reader(out.read_text().splitlines()[1:]))))
+    estimate, se = float(row["estimate"]), float(row["std_error"])
+    numbers = [estimate, se] + [float(v) for v in
+                                row["weights"].split(";") + row["tilts"].replace(";", " ").split()]
+    assert all(math.isfinite(v) for v in numbers), row
+    assert math.isfinite(float(row["rel_error"])) or estimate == 0.0, row
+    assert math.isfinite(float(row["var_ratio"])) or se == 0.0, row

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from cemix import engine, experiments, numerics
-from cemix.engine import CeConfig, _pilot, mixture_update, run_ce, surrogate_objective
+from cemix.engine import (
+    CeConfig,
+    _block_sums,
+    _pilot,
+    mixture_update,
+    run_ce,
+    surrogate_objective,
+)
 from cemix.errors import DegenerateUpdate
 from cemix.experiments import ExperimentConfig, run_experiment
 from cemix.mixture import (
@@ -18,7 +25,7 @@ from cemix.mixture import (
 from cemix.initialization import init_approx
 from cemix.models import CevDigital, Model, PyramidOption, TwoSidedTail
 from cemix.rng import RngStream
-from oracles import basic_update, normals, permuted
+from oracles import basic_update, block_sums, normals, permuted
 
 
 def make_eval(x, payoff, lr=None, theta=None):
@@ -176,6 +183,27 @@ class TestMixtureUpdate:
             mixture_update(batch, payoff, MixtureParam.single([0.0]))
 
 
+class TestBlockSums:
+    def test_matches_row_major_oracle(self):
+        # component-major sums against (k, m) ones, to 1e-12 of the sums of magnitudes;
+        # a transposed view of the posteriors gives the same bits
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            m, d, k = (int(rng.integers(1, top)) for top in (17, 101, 3000))
+            x = rng.standard_normal((k, d))
+            payoff = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.7)
+            lr = rng.uniform(0.5, 2.0, k)
+            post = rng.dirichlet(np.ones(m), k)
+            got = _block_sums(x, payoff, lr, np.ascontiguousarray(post.T))
+            want = block_sums(x, payoff, lr, post)
+            bound = block_sums(np.abs(x), payoff, lr, post)[2]
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+            assert np.all(np.abs(got[2] - want[2]) <= 1e-12 * bound)
+            for a, b in zip(got, _block_sums(x, payoff, lr, post.T)):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestSurrogateObjective:
     def test_zero_payoff(self):
         batch, payoff = make_eval([[1.0]], [0.0])
@@ -238,7 +266,7 @@ class TestRunCe:
         assert 1.3 <= up <= 1.7 and -2.2 <= down <= -1.6
         w_up = theta.weights[np.argmax(means)]
         assert 0.6 <= w_up <= 0.8
-        # surrogate objective is nondecreasing once the mixture has settled
+        # the objective of each drawing theta, on its own pilot, ends above where it began
         objs = [rec.objective for rec in trace]
         assert objs[-1] >= objs[0]
 
@@ -324,7 +352,8 @@ PILOT_STREAM = RngStream(16, phase="pilot", iteration=1)
 class TestFusedPilot:
     @pytest.mark.parametrize("name", ["tail-1d", "pyramid-4d", "cev-100d"])
     def test_matches_unfused_reference(self, name):
-        # sample_mixture -> payoff -> mixture_update -> surrogate_objective
+        # sample_mixture -> payoff -> mixture_update, and surrogate_objective under the
+        # theta that drew the batch
         model, theta, n = pilot_problem(name)
         new, objective, positive = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
         batch = sample_mixture(theta, n, PILOT_STREAM)
@@ -332,7 +361,7 @@ class TestFusedPilot:
         ref = mixture_update(batch, payoff, theta, 1e-4)
         np.testing.assert_allclose(new.weights, ref.weights, rtol=1e-12)
         np.testing.assert_allclose(new.means, ref.means, rtol=1e-12)
-        assert objective == pytest.approx(surrogate_objective(batch, payoff, ref), rel=1e-12)
+        assert objective == pytest.approx(surrogate_objective(batch, payoff, theta), rel=1e-12)
         assert positive == np.count_nonzero(payoff > 0)
         assert 0 < positive < n
 

@@ -221,12 +221,12 @@ class TestTiltSlices:
         np.testing.assert_allclose(lr, np.exp(log_component_density(np.zeros(d), x) - log_h),
                                    rtol=1e-9)
         np.testing.assert_allclose(post, np.exp(log_joint - log_h).T, rtol=1e-9, atol=1e-300)
-        assert post.flags.c_contiguous
+        assert post.T.flags.c_contiguous  # component-major underneath
         # one _lr pass that fills both, as the sampler's blocks do, gives the same bits
-        both_lr, both_post = np.empty(len(x)), np.empty((len(x), m))
+        both_lr, both_post = np.empty(len(x)), np.empty((m, len(x)))
         _lr(theta, x, both_lr, both_post)
         np.testing.assert_array_equal(both_lr, lr)
-        np.testing.assert_array_equal(both_post, post)
+        np.testing.assert_array_equal(both_post.T, post)
 
     def test_empty_batch(self):
         theta = MixtureParam([0.5, 0.5], [[1.0], [-1.0]])

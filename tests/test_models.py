@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cemix.errors import ConfigError, DimensionMismatch, EmbeddingUnavailable
@@ -10,6 +12,7 @@ from cemix.experiments import PYRAMID_2, PYRAMID_4, RAINBOW_2, RAINBOW_4, STRIKE
 from cemix.initialization import RarityConfig, init_rarity_ce, rarity_delta
 from cemix.mixture import MixtureParam
 from cemix.models import (
+    MAX_PYRAMID_ASSETS,
     AsianCall,
     CevDigital,
     Model,
@@ -19,7 +22,17 @@ from cemix.models import (
 )
 from cemix.numerics import _block_rows, normal_cdf
 from cemix.rng import RngStream
-from oracles import cev_paths, normals, pyramid_tilts, rainbow_tilts
+from oracles import (
+    cev_paths,
+    gbm_prices,
+    normals,
+    pyramid_payoff,
+    pyramid_tilts,
+    rainbow_payoff,
+    rainbow_rarity_payoff,
+    rainbow_tilts,
+    tail_rarity_payoff,
+)
 
 
 class TestTwoSidedTail:
@@ -183,6 +196,39 @@ def test_gbm_tilt_map_matches_solve_loops(cls, params, strikes, oracle):
     for strike in strikes:
         model = cls(strike=float(strike), **params)
         np.testing.assert_array_equal(model.approx_tilts(), oracle(model))
+
+
+@given(st.integers(1, MAX_PYRAMID_ASSETS), st.floats(1.0, 300.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_column_kernels_match_row_oracles(d, scale, seed):
+    # the column-by-column prices and payoffs give the bits of whole-row broadcasts, out
+    # to inputs whose prices overflow; a NaN matches any NaN
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d + 2))
+    cov = a @ a.T
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    params = dict(s0=rng.uniform(10.0, 100.0, d), sigmas=rng.uniform(0.05, 1.0, d),
+                  corr=(corr + corr.T) / 2, r=rng.uniform(-0.1, 0.1),
+                  maturity=rng.uniform(0.1, 5.0), strike=rng.uniform(10.0, 200.0))
+    rainbow = RainbowOption(**params)
+    pyramid = PyramidOption(asset_strikes=rng.uniform(10.0, 100.0, d), **params)
+    tail = TwoSidedTail(a=rng.uniform(0.5, 5.0), b=-rng.uniform(0.5, 5.0))
+    x = scale * rng.standard_normal((257, d))
+    with np.errstate(all="ignore"):
+        delta = rng.uniform(0.0, 2.0, d)
+        delta[0] = rainbow.rarity_levels(x[:1])[0, 0]  # the first row sits on its level
+        tail_delta = np.array([x[1, 0] / tail.a, rng.uniform(0.0, 2.0)])
+        pairs = [
+            (rainbow._terminal_prices(x), gbm_prices(rainbow, x)),
+            (rainbow._payoff(x), rainbow_payoff(rainbow, x)),
+            (rainbow.rarity_payoff(delta, x), rainbow_rarity_payoff(rainbow, delta, x)),
+            (pyramid._terminal_prices(x), gbm_prices(pyramid, x)),
+            (pyramid._payoff(x), pyramid_payoff(pyramid, x)),
+            (tail.rarity_payoff(tail_delta, x[:, :1]),
+             tail_rarity_payoff(tail, tail_delta, x[:, :1])),
+        ]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRainbowOption:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cemix.errors import NoBracket, NotPositiveDefinite
-from cemix.numerics import _blocks, bisect_root, cholesky, normal_cdf
+from cemix.numerics import _blocks, _fold_columns, bisect_root, cholesky, normal_cdf
 
 
 class TestCholesky:
@@ -50,6 +50,25 @@ class TestBlocks:
         assert [rows.start for rows in blocks] == ends[:-1] and ends[-1] == n
         assert all(0 < rows.stop - rows.start <= size for rows in blocks)
         assert size < 16 or all(rows.start % 16 == 0 for rows in blocks)
+
+
+class TestFoldColumns:
+    @given(st.integers(1, 40), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_reductions(self, rows, cols, seed):
+        # at the ends of the doubles, signed, and NaN: each row's max and any as numpy's
+        edges = [np.inf, 1.7e308, 5e-324, 1.0, np.nan]
+        a = np.random.default_rng(seed).choice(edges + [-v for v in edges], (rows, cols))
+        np.testing.assert_array_equal(_fold_columns(np.maximum, a.T), a.max(axis=1))
+        for level in (5e-324, 1.7e308, np.inf):
+            reached = a >= level
+            np.testing.assert_array_equal(_fold_columns(np.logical_or, reached.T),
+                                          reached.any(axis=1))
+
+    def test_columns_not_written(self):
+        a = np.array([[1.0, 3.0], [4.0, 2.0]])
+        np.testing.assert_array_equal(_fold_columns(np.maximum, a.T), [3.0, 4.0])
+        np.testing.assert_array_equal(a, [[1.0, 3.0], [4.0, 2.0]])
 
 
 class TestBisectRoot:
