@@ -268,7 +268,7 @@ class PyramidOption(CorrelatedGbm):
         prices = self._terminal_prices(x)
         for column, strike in zip(prices.T, self.asset_strikes):
             np.abs(np.subtract(column, strike, out=column), out=column)
-        spread = prices.sum(axis=1)  # not a left fold: its bits differ from 8 assets on
+        spread = prices.sum(axis=1)  # numpy's row sum: a left fold moves bits from 8 assets on
         return np.exp(-self.r * self.maturity) * np.maximum(spread - self.strike, 0.0)
 
     def sign_patterns(self):

@@ -25,7 +25,7 @@ from cemix.mixture import (
 from cemix.initialization import init_approx
 from cemix.models import CevDigital, Model, PyramidOption, TwoSidedTail
 from cemix.rng import RngStream
-from oracles import basic_update, block_sums, normals, permuted
+from oracles import basic_update, block_sums, normals, objective_sum, permuted
 
 
 def make_eval(x, payoff, lr=None, theta=None):
@@ -362,6 +362,8 @@ class TestFusedPilot:
         np.testing.assert_allclose(new.weights, ref.weights, rtol=1e-12)
         np.testing.assert_allclose(new.means, ref.means, rtol=1e-12)
         assert objective == pytest.approx(surrogate_objective(batch, payoff, theta), rel=1e-12)
+        whole = objective_sum(theta, batch.x, payoff, batch.lr) / n
+        assert objective == pytest.approx(whole, rel=1e-12)
         assert positive == np.count_nonzero(payoff > 0)
         assert 0 < positive < n
 
