@@ -61,7 +61,8 @@ def _block_sums(x, payoff, lr, post):
         return ValueError("payoffs must be nonnegative")
     if fault := _lr_fault(lr):
         return fault
-    w = payoff * lr
+    with np.errstate(invalid="ignore"):  # an inf payoff at an lr that underflowed to 0:
+        w = payoff * lr                  # a NaN mass, which _update raises
     wp = np.multiply(post, w, order="C")
     wx = np.zeros((len(wp), x.shape[1]))
     for rows in _blocks(len(x), _PRODUCT_MADDS // wx.size):
@@ -143,7 +144,8 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
         if fault := _lr_fault(lr):  # rows that far out may overflow the payoff: not priced
             return 0, 0.0, fault
         payoff = model._payoff(x)
-        w = payoff * lr
+        with np.errstate(invalid="ignore"):  # a NaN w is not kept; _block_sums reports it
+            w = payoff * lr
         kept = w > 0  # lr > 0 there: its log is finite
         log_h = -0.5 * np.einsum("nd,nd->n", x, x)[kept] - 0.5 * d * LOG_2PI - np.log(lr[kept])
         return (int(np.count_nonzero(payoff > 0)), float((w[kept] * log_h).sum()),

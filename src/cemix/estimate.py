@@ -69,7 +69,7 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     overwrites its lr with V^2 lr.  Chunk k + 1 goes to the pool before the main
     thread merges chunk k's chunk_moments and adds its V^2 lr sum, in chunk order,
     so at most two chunks' lr and V lr vectors are alive.  Payoffs so large that a
-    moment is not finite raise ConfigError.
+    moment, or the variance ratio at a nonzero SE, is not finite raise ConfigError.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
@@ -104,7 +104,7 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     if not math.isfinite(est + m2 + sum_sq):
         raise ConfigError("payoffs out of range: a moment of the estimate is not finite")
     se = math.sqrt(m2 / (n - 1) / n)
-    return EstimateReport(
+    report = EstimateReport(
         estimate=est,
         std_error=se,
         relative_error=se / est if est > 0 else math.inf,
@@ -114,6 +114,9 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
         plain_variance=max(sum_sq / n - est * est, 0.0) * (n / (n - 1)),
         lr_concentrated=est > 0 and max_val > LR_CONCENTRATION_SHARE * est * n,
     )
+    if se > 0 and not math.isfinite(report.var_ratio):  # a ratio past the doubles
+        raise ConfigError("payoffs out of range: the variance ratio is not finite")
+    return report
 
 
 def plain_mc_estimate(model, n: int, stream: RngStream) -> EstimateReport:

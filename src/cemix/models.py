@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ApproxUnavailable, ConfigError
 from .mixture import _as_batch
@@ -122,6 +121,7 @@ class AsianCall(Model):
     def dim(self):
         return self.n_dates
 
+    @np.errstate(over="ignore")  # a mean price past the doubles is an infinite payoff
     def _payoff(self, x):
         drift = (self.r - 0.5 * self.sigma ** 2) * self.times
         bridge = np.cumsum(self._sqdt * x, axis=1)
@@ -180,6 +180,7 @@ class CorrelatedGbm(Model):
     def dim(self):
         return self.s0.size
 
+    @np.errstate(over="ignore")  # a price past the doubles is inf
     def _terminal_prices(self, x):
         """Undiscounted S_T^(j) per sample and asset, worked in place one asset at a time."""
         prices = _as_batch(x, self.dim) @ self.chol.T
@@ -199,8 +200,13 @@ class CorrelatedGbm(Model):
             / (self.sigmas * np.sqrt(self.maturity))
 
     def _tilts_to(self, moves):
-        """Input-space tilts whose correlated moves (chol @ tilt) are the rows of moves."""
-        return np.array([solve_triangular(self.chol, row, lower=True) for row in moves])
+        """Input-space tilts whose correlated moves (chol @ tilt) are the rows of moves, by
+        forward substitution in LAPACK's row order, each step one dot of contiguous rows."""
+        tilts = np.zeros((len(moves), self.dim))  # C-ordered whatever the order of moves
+        for move, tilt in zip(moves, tilts):
+            for i, row in enumerate(self.chol):
+                tilt[i] = (move[i] - row[:i] @ tilt[:i]) / row[i]
+        return tilts
 
 
 class RainbowOption(CorrelatedGbm):
@@ -228,6 +234,7 @@ class RainbowOption(CorrelatedGbm):
         """(n, d) rarity reached per asset: terminal price over strike."""
         return self._terminal_prices(x) / self.strike
 
+    @np.errstate(invalid="ignore")  # an inf price at an inf delta: a NaN payoff, and mass
     def rarity_payoff(self, delta, x):
         disc = np.exp(-self.r * self.maturity)
         prices = self._terminal_prices(x)

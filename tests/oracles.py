@@ -102,6 +102,11 @@ def cev_paths(model, x):
     return grow * xs, grow * ys
 
 
+def triangular_solves(chol, moves):
+    """The rows of moves solved through the lower-triangular chol, one LAPACK call each."""
+    return np.array([solve_triangular(chol, row, lower=True) for row in moves])
+
+
 def rainbow_tilts(model):
     """RainbowOption.approx_tilts by one triangular solve per asset: row j moves
     asset j's normal so that its mean terminal price is the strike."""

@@ -138,6 +138,21 @@ class TestExperiments:
             exec(K70_HEX, {})
         assert child.stdout == here.getvalue()
 
+    def test_runs_load_no_scipy_linalg(self, tmp_path):
+        # a fresh interpreter (this one has the oracles' scipy.linalg) runs an approx
+        # rainbow row, whose tilts take the triangular solves, and imports numpy and
+        # scipy.special only
+        cfg = write_config(tmp_path / "cfg.yaml", model=RAINBOW_YAML, init={"method": "approx"},
+                           ce={"pilot_size": 500, "iterations": 1},
+                           sampling={"n": 2000, "seed": 1})
+        script = ("import sys; from cemix.cli import main; code = main(['run', sys.argv[1]]); "
+                  "print('scipy.linalg' in sys.modules); sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "False"
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model="nope", model_params={}, init={"method": "approx"})
@@ -534,24 +549,32 @@ class TestCliMain:
 
 
 # the config fuzz: each model of the benchmark tables (few Asian dates and Euler steps),
-# one parameter scaled by one of these factors, every init the model takes, and
-# small CE and sampling sizes
+# one parameter scaled by one of these factors, every init the model takes, drawn or
+# explicit init means, and small CE and sampling sizes
 FUZZ_MODELS = [{"name": "two_sided_tail", "a": 1.0, "b": -1.5}, RAINBOW_YAML, PYRAMID_YAML,
                {**ASIAN_YAML, "n_dates": 4}, {**CEV_YAML, "n_steps": 5}]
 FUZZ_FACTORS = [1.0, 0.5, 2.0, 0.0, -1.0, 1e-300, 1e-8, 1e8, 1e300]
+FUZZ_MEANS = [0.0, 0.1, -0.1, 3.0, -3.0, 40.0, -40.0, 1e100, -1e100]
 COUNT_PARAMS = ("name", "n_dates", "n_steps")  # sized work: not scaled
 
 
 @st.composite
 def fuzz_configs(draw):
     model = dict(draw(st.sampled_from(FUZZ_MODELS)))
+    cls = MODEL_REGISTRY[model["name"]]
+    base = cls(**{k: v for k, v in model.items() if k != "name"})  # dim and default m
     key = draw(st.sampled_from(sorted(set(model) - set(COUNT_PARAMS))))
     model[key] = (draw(st.sampled_from(FUZZ_FACTORS)) * np.asarray(model[key])).tolist()
-    method = draw(st.sampled_from(MODEL_REGISTRY[model["name"]].inits))
+    method = draw(st.sampled_from(cls.inits))
     init = {"method": method}
     if method != "approx":
         init["scale"] = draw(st.sampled_from([0.1, 1.0, 0.0, 1e300, 1.7e308]))
         init["m"] = draw(st.sampled_from([None, 1, 2, 3]))
+        if draw(st.booleans()):
+            shape = (init["m"] or base.default_components, base.dim)
+            init["means"] = np.reshape(draw(st.lists(st.sampled_from(FUZZ_MEANS),
+                                                     min_size=math.prod(shape),
+                                                     max_size=math.prod(shape))), shape).tolist()
     if method == "rarity_ce":
         init["rho"] = draw(st.sampled_from([0.05, 0.5, 1e-6]))
         init["max_stages"] = draw(st.sampled_from([1, 3, 50]))
@@ -588,6 +611,14 @@ def fuzz_case(model, init, pilot_size=500, n=2000):
 @example(fuzz_case({**PYRAMID_YAML, "asset_strikes": [5.5e+301, 5.0e+301]},
                    {"method": "perturbation", "scale": 0.1}, pilot_size=1, n=2))
 @example(fuzz_case({**CEV_YAML, "c1": 1.0e-300, "n_steps": 5}, {"method": "approx"}))
+@example(fuzz_case(RAINBOW_YAML, {"method": "perturbation",
+                                  "means": [[1.0e+100, 0.0], [0.0, 1.0e+100]]}))
+@example(fuzz_case({**ASIAN_YAML, "n_dates": 4}, {"method": "perturbation",
+                                                  "means": [[1.0e+100, -3.0, 0.0, 40.0]]}))
+@example(fuzz_case(RAINBOW_YAML, {"method": "rarity_ce", "means": [[1.0e+100, 3.0], [-40.0, -0.1]],
+                                  "rho": 0.5, "max_stages": 1}))
+@example(fuzz_case({**PYRAMID_YAML, "s0": [5.0e+301, 4.5e+301]},
+                   {"method": "perturbation", "means": [[0.1, -40.0]]}, pilot_size=1, n=2))
 @settings(max_examples=300, deadline=None)
 def test_config_fuzz(raw):
     # any config ends in a typed exit with no warning; a row that exits 0 holds finite

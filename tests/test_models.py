@@ -32,6 +32,7 @@ from oracles import (
     rainbow_rarity_payoff,
     rainbow_tilts,
     tail_rarity_payoff,
+    triangular_solves,
 )
 
 
@@ -198,17 +199,40 @@ def test_gbm_tilt_map_matches_solve_loops(cls, params, strikes, oracle):
         np.testing.assert_array_equal(model.approx_tilts(), oracle(model))
 
 
+def random_corr(rng, d):
+    """A random d x d correlation matrix, exactly symmetric."""
+    a = rng.standard_normal((d, d + 2))
+    cov = a @ a.T
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    return (corr + corr.T) / 2
+
+
+@given(st.integers(1, MAX_PYRAMID_ASSETS), st.floats(0.1, 1e3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_tilts_to_matches_triangular_solves(d, scale, fortran, seed):
+    # forward substitution gives the bits of LAPACK's solve of each row, into a C-ordered
+    # array for C- and F-ordered moves (the pyramid's moves are F-ordered)
+    rng = np.random.default_rng(seed)
+    model = RainbowOption(s0=np.full(d, 50.0), sigmas=np.full(d, 0.2), corr=random_corr(rng, d),
+                          r=0.03, maturity=1.0, strike=60.0)
+    moves = scale * rng.standard_normal((int(rng.integers(1, 2 ** d + 1)), d))
+    if fortran:
+        moves = np.asfortranarray(moves)
+    tilts = model._tilts_to(moves)
+    assert tilts.flags.c_contiguous
+    np.testing.assert_array_equal(tilts, triangular_solves(model.chol, moves))
+
+
 @given(st.integers(1, MAX_PYRAMID_ASSETS), st.floats(1.0, 300.0), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_column_kernels_match_row_oracles(d, scale, seed):
     # the column-by-column prices and payoffs give the bits of whole-row broadcasts, out
     # to inputs whose prices overflow; a NaN matches any NaN
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d + 2))
-    cov = a @ a.T
-    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    corr = random_corr(rng, d)
     params = dict(s0=rng.uniform(10.0, 100.0, d), sigmas=rng.uniform(0.05, 1.0, d),
-                  corr=(corr + corr.T) / 2, r=rng.uniform(-0.1, 0.1),
+                  corr=corr, r=rng.uniform(-0.1, 0.1),
                   maturity=rng.uniform(0.1, 5.0), strike=rng.uniform(10.0, 200.0))
     rainbow = RainbowOption(**params)
     pyramid = PyramidOption(asset_strikes=rng.uniform(10.0, 100.0, d), **params)

@@ -9,15 +9,19 @@ workload of BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py
 --workload W --seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds;
 the side that runs first alternates from pair to pair.  Then each side times
 reproduce_table(t, 1), t = 1-9, in a fresh process, three times, alternated the
-same way; last, each side runs the tier-1 suite once, the first side continuing
-the alternation.
+same way; then each side runs the tier-1 suite once, the first side continuing
+the alternation.  Last, each side prints tools/rows_digest.py four ways: with the
+default pool, with --workers 1, with --workers 3, and with OPENBLAS_NUM_THREADS=1 in
+its environment.
 
 The file holds, per workload and end-to-end metric, each side's median and
 quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
 ratio of the medians and the share of pairs in which the change was better or
 equal; then the table wall times, each side's tier-1 wall time with its passed
-and failed counts, and the environment block of the runs.  Host speed drifts
-between sessions, so only the pairs of one file compare.
+and failed counts, each side's digest per setting against the parent's default
+digest (equal or not, and the count of differing rows), and the environment block
+of the runs.  Host speed drifts between sessions, so only the pairs of one file
+compare; the digests compare across files.
 """
 
 import argparse
@@ -37,6 +41,12 @@ PAIRS = 10  # per workload
 SEED = 21  # workload seed of the first pair
 TABLE_ROUNDS = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+DIGESTS = {  # setting: (rows_digest.py arguments, environment additions)
+    "default": ([], {}),
+    "workers_1": (["--workers", "1"], {}),
+    "workers_3": (["--workers", "3"], {}),
+    "openblas_threads_1": ([], {"OPENBLAS_NUM_THREADS": "1"}),
+}
 
 TIME_TABLES = """
 import json, sys, time
@@ -80,6 +90,29 @@ def time_tier1(side: Path) -> dict:
     for count, outcome in re.findall(r"(\d+) (passed|failed|errors?)\b", done.stdout):
         counts["passed" if outcome == "passed" else "failed"] += int(count)
     return {"seconds": seconds, **counts}
+
+
+def digest(side: Path, args: list, env: dict) -> list:
+    """The lines of one tools/rows_digest.py run in side."""
+    done = subprocess.run([sys.executable, "tools/rows_digest.py", *args], cwd=side,
+                          check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": "src", **env})
+    return done.stdout.splitlines()
+
+
+def bit_identity(sides: dict) -> dict:
+    """Per side and DIGESTS setting: whether its digest equals the parent's default one,
+    and how many rows differ (a missing or extra row counts as one)."""
+    runs = {side: {name: digest(path, *DIGESTS[name]) for name in DIGESTS}
+            for side, path in sides.items()}
+    reference = runs["parent"]["default"]
+    out = {"rows": len(reference)}
+    for side, lines in runs.items():
+        out[side] = {}
+        for name, got in lines.items():
+            differ = sum(a != b for a, b in zip(got, reference)) + abs(len(got) - len(reference))
+            out[side][name] = {"equal": differ == 0, "rows_differing": differ}
+    return out
 
 
 def summary(values) -> dict:
@@ -149,6 +182,7 @@ def main():
                                           check=True, capture_output=True, text=True)
                     tables[side].append(json.loads(done.stdout))
             tier1 = {side: time_tier1(sides[side]) for side in order[TABLE_ROUNDS % 2]}
+            identity = bit_identity(sides)
         finally:
             git("worktree", "remove", "--force", str(sides["parent"]))
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -161,6 +195,7 @@ def main():
             side: {table: statistics.median(run[table] for run in tables[side])
                    for table in tables[side][0]} for side in tables},
         "tier1": tier1,
+        "bit_identity": identity,
         "environment": env,
     }
     (ROOT / args.out).write_text(json.dumps(out, indent=1) + "\n")
@@ -169,6 +204,10 @@ def main():
             print(f"{workload:10s} {name:18s} parent {m['parent']['median']:.5g} "
                   f"change {m['change']['median']:.5g} ratio {m['ratio']:.3f} "
                   f"won {m['won']:.0%}")
+    for side in ("parent", "change"):
+        print(f"{side} digests: " + ", ".join(
+            f"{name} {'equal' if v['equal'] else str(v['rows_differing']) + ' rows differ'}"
+            for name, v in identity[side].items()))
 
 
 if __name__ == "__main__":
