@@ -61,8 +61,8 @@ def _block_sums(x, payoff, lr, post):
         return ValueError("payoffs must be nonnegative")
     if fault := _lr_fault(lr):
         return fault
-    with np.errstate(invalid="ignore"):  # an inf payoff at an lr that underflowed to 0:
-        w = payoff * lr                  # a NaN mass, which _update raises
+    with np.errstate(invalid="ignore"):  # inf payoff * lr underflowed to 0: a NaN mass
+        w = payoff * lr
     wp = np.multiply(post, w, order="C")
     wx = np.zeros((len(wp), x.shape[1]))
     for rows in _blocks(len(x), _PRODUCT_MADDS // wx.size):
