@@ -45,24 +45,25 @@ class IterationRecord:
     positive_payoffs: int
 
 
-def _lr_fault(lr):
-    """DegenerateUpdate unless every likelihood ratio is finite and nonnegative; an lr
-    that underflows to 0 under a far tilt is a zero weight."""
+def _check_lr(lr):
+    """Raise DegenerateUpdate unless every likelihood ratio is finite and nonnegative; an
+    lr that underflows to 0 under a far tilt is a zero weight."""
     if not np.all(np.isfinite(lr) & (lr >= 0)):
-        return DegenerateUpdate("likelihood ratios must be finite and nonnegative")
-    return None
+        raise DegenerateUpdate("likelihood ratios must be finite and nonnegative")
 
 
-def _block_sums(x, payoff, lr, post):
-    """One block's update sums from its (m, k) posteriors: with w = V*lr and wp = post * w,
-    C-ordered for any post layout, w.sum(), wp.sum(axis=1) and wp @ x over row slices of at
-    most _PRODUCT_MADDS; or the error that the block's payoffs or likelihood ratios call for."""
+def _weights(payoff, lr):
+    """w = V*lr of nonnegative payoffs; an inf V by an lr that underflowed to 0 is a NaN mass."""
     if np.any(payoff < 0):
-        return ValueError("payoffs must be nonnegative")
-    if fault := _lr_fault(lr):
-        return fault
-    with np.errstate(invalid="ignore"):  # inf payoff * lr underflowed to 0: a NaN mass
-        w = payoff * lr
+        raise ValueError("payoffs must be nonnegative")
+    with np.errstate(invalid="ignore"):
+        return payoff * lr
+
+
+def _block_sums(x, w, post):
+    """One block's update sums from its weights w and (m, k) posteriors: with wp = post * w,
+    C-ordered for any post layout, w.sum(), wp.sum(axis=1) and wp @ x over row slices of at
+    most _PRODUCT_MADDS."""
     wp = np.multiply(post, w, order="C")
     wx = np.zeros((len(wp), x.shape[1]))
     for rows in _blocks(len(x), _PRODUCT_MADDS // wx.size):
@@ -72,9 +73,6 @@ def _block_sums(x, payoff, lr, post):
 
 def _update(parts, theta_prev: MixtureParam, weight_floor: float) -> MixtureParam:
     """The mixture update from the blocks' _block_sums, added in block order."""
-    faults = [part for part in parts if isinstance(part, Exception)]
-    if faults:  # a negative payoff in any block before a bad likelihood ratio
-        raise min(faults, key=lambda fault: isinstance(fault, DegenerateUpdate))
     denom, mass, wx = (sum(part[k] for part in parts) for k in range(3))
     if not (np.isfinite(denom) and denom > 0):
         raise DegenerateUpdate(f"payoff-weighted mass is {denom}, not finite and positive")
@@ -103,8 +101,9 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
     n = batch.x.shape[0]
     if not (payoff.shape == (n,) == batch.lr.shape and batch.posteriors.shape[0] == n):
         raise ValueError("inconsistent pilot batch and payoff lengths")
-    return _update([_block_sums(batch.x[rows], payoff[rows], batch.lr[rows],
-                                batch.posteriors[rows].T)
+    w = _weights(payoff, batch.lr)  # a negative payoff before a bad likelihood ratio
+    _check_lr(batch.lr)
+    return _update([_block_sums(batch.x[rows], w[rows], batch.posteriors[rows].T)
                     for rows in _pilot_blocks(n, batch.x.shape[1])],
                    theta_prev, weight_floor)
 
@@ -131,9 +130,9 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
     The values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
     surrogate_objective under theta, from the same rows, with no (n, m) posterior array.
     One pool map draws, weights and prices each of the _pilot_blocks and takes its
-    _block_sums and its objective sum, log h = log phi_d - log lr under the drawing theta;
-    or returns unpriced the DegenerateUpdate of a likelihood ratio that is not finite.
-    The main thread adds them in block order and builds the new theta.
+    _block_sums and its objective sum, log h = log phi_d - log lr under the drawing theta,
+    from one w = V*lr; a block whose likelihood ratios are not finite raises unpriced.
+    The main thread adds the sums in block order and builds the new theta.
     """
     d, m = theta.dim, theta.m
 
@@ -141,15 +140,13 @@ def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: 
         k = rows.stop - rows.start
         x, lr, post = np.empty((k, d)), np.empty(k), np.empty((m, k))
         _draw_rows(theta, n, stream, rows.start, x, lr, post)
-        if fault := _lr_fault(lr):  # rows that far out may overflow the payoff: not priced
-            return 0, 0.0, fault
+        _check_lr(lr)  # rows that far out may overflow the payoff: not priced
         payoff = model._payoff(x)
-        with np.errstate(invalid="ignore"):  # a NaN w is not kept; _block_sums reports it
-            w = payoff * lr
+        w = _weights(payoff, lr)
         kept = w > 0  # lr > 0 there: its log is finite
         log_h = -0.5 * np.einsum("nd,nd->n", x, x)[kept] - 0.5 * d * LOG_2PI - np.log(lr[kept])
         return (int(np.count_nonzero(payoff > 0)), float((w[kept] * log_h).sum()),
-                _block_sums(x, payoff, lr, post))
+                _block_sums(x, w, post))
 
     drawn = _map(draw, _pilot_blocks(n, d))
     new = _update([block[2] for block in drawn], theta, weight_floor)

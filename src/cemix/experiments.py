@@ -18,8 +18,9 @@ import numpy as np
 from .engine import CeConfig, run_ce
 from .errors import ConfigError
 from .estimate import is_estimate
-from .initialization import RarityConfig, init_approx, init_perturbation, init_rarity_ce
-from .mixture import MixtureParam, min_tilt_distance
+from .initialization import (RarityConfig, init_approx, init_perturbation, init_rarity_ce,
+                             uniform_start)
+from .mixture import min_tilt_distance
 from .models import (
     AsianCall,
     CevDigital,
@@ -188,7 +189,7 @@ def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):
     if init.method == "approx":
         return init_approx(model), 0
     if init.means is not None:
-        start = MixtureParam.uniform(init.means)
+        start = uniform_start(init.means, "init means")
     else:
         start = init_perturbation(init.m or model.default_components, init.base, init.scale,
                                   stream.child(phase="init", iteration=0), dim=model.dim)

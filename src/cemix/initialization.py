@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PilotConfig, _lr_fault, mixture_update
+from .engine import PilotConfig, _check_lr, mixture_update
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
 from .mixture import MixtureParam, min_tilt_distance, sample_mixture
 from .models import require_init
@@ -46,14 +46,19 @@ class RarityStageRecord:
     clamped: np.ndarray         # per-component: delta held by the monotone clamp
 
 
+def uniform_start(means, what: str) -> MixtureParam:
+    """Equal weights 1/m over the means, which must be finite and pairwise distinct, or
+    ConfigError: identical initial tilts would stay identical through every update."""
+    # an overflowed mean is inf, and the distance of two is NaN
+    if not (np.all(np.isfinite(means)) and min_tilt_distance(means) > 0):
+        raise ConfigError(f"{what} are not finite and pairwise distinct")
+    return MixtureParam.uniform(means)
+
+
 def init_perturbation(m: int, base, scale: float, stream: RngStream,
                       dim: int = None) -> MixtureParam:
-    """Equal weights 1/m with means base + uniform(-scale, scale)^d noise, the
-    noise from words [0, m*d) of the stream.
-
-    Identical initial tilts would stay identical through every update, so
-    means that are not finite and pairwise distinct raise ConfigError.
-    """
+    """The uniform_start over means base + uniform(-scale, scale)^d noise, the
+    noise from words [0, m*d) of the stream."""
     base = np.atleast_1d(np.asarray(base, dtype=float))
     if dim is not None and base.size == 1:
         base = np.full(dim, base[0])
@@ -61,11 +66,7 @@ def init_perturbation(m: int, base, scale: float, stream: RngStream,
         raise ConfigError("m > 1 needs scale > 0 to keep initial tilts distinct")
     u = np.empty((m, base.size))
     stream._fill(u.reshape(-1), 0)
-    means = base + (-scale + 2 * scale * u)
-    # an overflowed mean is inf, and the distance of two is NaN
-    if not (np.all(np.isfinite(means)) and min_tilt_distance(means) > 0):
-        raise ConfigError("perturbed means are not finite and pairwise distinct")
-    return MixtureParam.uniform(means)
+    return uniform_start(base + (-scale + 2 * scale * u), "perturbed means")
 
 
 def init_approx(model) -> MixtureParam:
@@ -108,8 +109,7 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     for stage in range(cfg.max_stages):
         batch = sample_mixture(theta, cfg.pilot_size,
                                stream.child(phase="init", iteration=stream.iteration + stage))
-        if fault := _lr_fault(batch.lr):  # rows that far out may overflow the levels
-            raise fault
+        _check_lr(batch.lr)  # rows that far out may overflow the levels
         levels = model.rarity_levels(batch.x)
         if levels.shape[1] != m:
             raise ConfigError(f"rarity_ce needs one component per rarity level: "

@@ -230,11 +230,13 @@ class RainbowOption(CorrelatedGbm):
         prices *= disc
         return np.maximum(_fold_columns(np.maximum, prices.T) - disc * self.strike, 0.0)
 
+    @np.errstate(over="ignore")  # a level past the doubles is inf
     def rarity_levels(self, x):
         """(n, d) rarity reached per asset: terminal price over strike."""
         return self._terminal_prices(x) / self.strike
 
-    @np.errstate(invalid="ignore")  # an inf price at an inf delta: a NaN payoff, and mass
+    # an inf price at an inf delta: a NaN payoff, and mass
+    @np.errstate(over="ignore", invalid="ignore")
     def rarity_payoff(self, delta, x):
         disc = np.exp(-self.r * self.maturity)
         prices = self._terminal_prices(x)

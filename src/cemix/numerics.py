@@ -47,7 +47,9 @@ def _pilot_blocks(n: int, d: int) -> list:
 
 def _map(fn: Callable, items) -> list:
     """[fn(item) for item in items] in order, on the pool; inline for one item.  fn calls
-    no public cemix callable: perfbench's tracer has one span stack."""
+    no public cemix callable: perfbench's tracer has one span stack.  If fn raises, _map
+    raises the exception of the first failing item, for any pool size: Executor.map
+    yields in order."""
     if len(items) <= 1:
         return [fn(item) for item in items]
     return list(_POOL.map(fn, items))

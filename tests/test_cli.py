@@ -497,6 +497,10 @@ class TestCliMain:
          "sigma*sqrt(maturity)"),
         ({"model": RAINBOW_YAML, "init": {"method": "perturbation", "scale": 1.7e+308}},
          "pairwise distinct"),
+        ({"init": {"method": "perturbation", "means": [[0.0], [0.0]]}},
+         "init means are not finite and pairwise distinct"),
+        ({"init": {"method": "rarity_ce", "means": [[-0.1], [-0.1]]}},
+         "init means are not finite and pairwise distinct"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
@@ -507,7 +511,8 @@ class TestCliMain:
             "init_means_width", "init_base_width", "max_stages_zero", "rarity_ce_three_means",
             "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1",
             "cev_approx_tilts_not_finite", "cev_rate_unbounded", "asian_sigma_unbounded",
-            "cev_sigma_unbounded", "perturbation_overflow"])
+            "cev_sigma_unbounded", "perturbation_overflow", "coinciding_means",
+            "rarity_ce_coinciding_means"])
     def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -549,8 +554,8 @@ class TestCliMain:
 
 
 # the config fuzz: each model of the benchmark tables (few Asian dates and Euler steps),
-# one parameter scaled by one of these factors, every init the model takes, drawn or
-# explicit init means, and small CE and sampling sizes
+# two parameters, each scaled by its own draw of these factors, every init the model
+# takes, drawn or explicit init means, and small CE and sampling sizes
 FUZZ_MODELS = [{"name": "two_sided_tail", "a": 1.0, "b": -1.5}, RAINBOW_YAML, PYRAMID_YAML,
                {**ASIAN_YAML, "n_dates": 4}, {**CEV_YAML, "n_steps": 5}]
 FUZZ_FACTORS = [1.0, 0.5, 2.0, 0.0, -1.0, 1e-300, 1e-8, 1e8, 1e300]
@@ -563,8 +568,9 @@ def fuzz_configs(draw):
     model = dict(draw(st.sampled_from(FUZZ_MODELS)))
     cls = MODEL_REGISTRY[model["name"]]
     base = cls(**{k: v for k, v in model.items() if k != "name"})  # dim and default m
-    key = draw(st.sampled_from(sorted(set(model) - set(COUNT_PARAMS))))
-    model[key] = (draw(st.sampled_from(FUZZ_FACTORS)) * np.asarray(model[key])).tolist()
+    keys = sorted(set(model) - set(COUNT_PARAMS))
+    for key in draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True)):
+        model[key] = (draw(st.sampled_from(FUZZ_FACTORS)) * np.asarray(model[key])).tolist()
     method = draw(st.sampled_from(cls.inits))
     init = {"method": method}
     if method != "approx":
@@ -619,6 +625,8 @@ def fuzz_case(model, init, pilot_size=500, n=2000):
                                   "rho": 0.5, "max_stages": 1}))
 @example(fuzz_case({**PYRAMID_YAML, "s0": [5.0e+301, 4.5e+301]},
                    {"method": "perturbation", "means": [[0.1, -40.0]]}, pilot_size=1, n=2))
+@example(fuzz_case({**RAINBOW_YAML, "s0": [5.0e+301, 4.5e+301], "strike": 6.0e-299},
+                   {"method": "rarity_ce", "scale": 0.1}))
 @settings(max_examples=300, deadline=None)
 def test_config_fuzz(raw):
     # any config ends in a typed exit with no warning; a row that exits 0 holds finite

@@ -194,13 +194,13 @@ class TestBlockSums:
             payoff = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.7)
             lr = rng.uniform(0.5, 2.0, k)
             post = rng.dirichlet(np.ones(m), k)
-            got = _block_sums(x, payoff, lr, np.ascontiguousarray(post.T))
+            got = _block_sums(x, payoff * lr, np.ascontiguousarray(post.T))
             want = block_sums(x, payoff, lr, post)
             bound = block_sums(np.abs(x), payoff, lr, post)[2]
             assert got[0] == want[0]
             np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
             assert np.all(np.abs(got[2] - want[2]) <= 1e-12 * bound)
-            for a, b in zip(got, _block_sums(x, payoff, lr, post.T)):
+            for a, b in zip(got, _block_sums(x, payoff * lr, post.T)):
                 np.testing.assert_array_equal(a, b)
 
 
@@ -388,6 +388,30 @@ class TestFusedPilot:
         with pytest.raises(ValueError, match="nonnegative"):
             run_ce(Signed(), MixtureParam.single([0.0]), CeConfig(pilot_size=20_000),
                    RngStream(17))
+
+    def test_first_failing_block_raises(self, monkeypatch):
+        # a NaN lr in block 0 of 3 and negative payoffs in every block: block 0's
+        # DegenerateUpdate raises on any pool, before any later block's ValueError
+        class Signed(Model):
+            dim = 1
+
+            def _payoff(self, x):
+                return x[:, 0]
+
+        draw_rows = engine._draw_rows
+
+        def spoiled(theta, n, stream, lo, x, lr, post=None):
+            draw_rows(theta, n, stream, lo, x, lr, post)
+            if lo == 0:
+                lr[0] = np.nan
+
+        monkeypatch.setattr(engine, "_draw_rows", spoiled)
+        assert len(numerics._pilot_blocks(40_000, 1)) == 3
+        for workers in (1, 2, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(numerics, "_POOL", pool)
+                with pytest.raises(DegenerateUpdate, match="likelihood ratios"):
+                    _pilot(Signed(), MixtureParam.single([0.0]), 40_000, PILOT_STREAM, 1e-4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_lr_reports_iteration(self, bad, monkeypatch):

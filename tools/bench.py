@@ -12,7 +12,8 @@ reproduce_table(t, 1), t = 1-9, in a fresh process, three times, alternated the
 same way; then each side runs the tier-1 suite once, the first side continuing
 the alternation.  Last, each side prints tools/rows_digest.py four ways: with the
 default pool, with --workers 1, with --workers 3, and with OPENBLAS_NUM_THREADS=1 in
-its environment.
+its environment.  Each side's src/cemix/*.py line count (as `wc -l` counts it) is
+recorded as src_lines.
 
 The file holds, per workload and end-to-end metric, each side's median and
 quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
@@ -100,6 +101,11 @@ def digest(side: Path, args: list, env: dict) -> list:
     return done.stdout.splitlines()
 
 
+def src_lines(side: Path) -> int:
+    """Lines of side's src/cemix/*.py, the count that ROADMAP aim 2 tracks."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "cemix").glob("*.py"))
+
+
 def bit_identity(sides: dict) -> dict:
     """Per side and DIGESTS setting: whether its digest equals the parent's default one,
     and how many rows differ (a missing or extra row counts as one)."""
@@ -183,6 +189,7 @@ def main():
                     tables[side].append(json.loads(done.stdout))
             tier1 = {side: time_tier1(sides[side]) for side in order[TABLE_ROUNDS % 2]}
             identity = bit_identity(sides)
+            lines = {side: src_lines(path) for side, path in sides.items()}
         finally:
             git("worktree", "remove", "--force", str(sides["parent"]))
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -196,6 +203,7 @@ def main():
                    for table in tables[side][0]} for side in tables},
         "tier1": tier1,
         "bit_identity": identity,
+        "src_lines": lines,
         "environment": env,
     }
     (ROOT / args.out).write_text(json.dumps(out, indent=1) + "\n")
@@ -208,6 +216,7 @@ def main():
         print(f"{side} digests: " + ", ".join(
             f"{name} {'equal' if v['equal'] else str(v['rows_differing']) + ' rows differ'}"
             for name, v in identity[side].items()))
+    print(f"src_lines: parent {lines['parent']}, change {lines['change']}")
 
 
 if __name__ == "__main__":
