@@ -40,10 +40,10 @@ class EstimateReport:
 
 def chunk_moments(vals: np.ndarray):
     """(count, mean, M2) of one chunk of values, M2 being the sum of squared
-    deviations from the mean (two-pass, squared in place: one temporary)."""
+    deviations from the mean (two-pass, no temporary); overwrites vals with them."""
     mean = float(vals.mean())
-    dev = vals - mean
-    return vals.size, mean, float(np.sum(np.square(dev, out=dev)))
+    vals -= mean
+    return vals.size, mean, float(np.sum(np.square(vals, out=vals)))
 
 
 def merge_moments(a, b):
@@ -66,19 +66,22 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     offset k), c = _CHUNK but for a shorter last chunk.  Each row block of a
     chunk is drawn and weighted by _draw_rows and priced by model._payoff on
     the thread pool, with no (c, d) array; a block returns its lr range and
-    overwrites its lr with V^2 lr.  Chunk k + 1 goes to the pool before the main
-    thread merges chunk k's chunk_moments and adds its V^2 lr sum, in chunk order,
-    so at most two chunks' lr and V lr vectors are alive.  Payoffs so large that a
-    moment, or the variance ratio at a nonzero SE, is not finite raise ConfigError.
+    overwrites its lr with V^2 lr.  Chunk k's lr and V lr fill the rows of slot
+    k % 2, allocated once per call.  Chunk k + 1 goes to the pool before the main
+    thread takes chunk k's largest V lr, merges its chunk_moments and adds its V^2
+    lr sum, in chunk order, so chunk k + 2 finds its slot reduced.  Payoffs so large
+    that a moment, or the variance ratio at a nonzero SE, is not finite raise ConfigError.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     if model.dim != theta.dim:
         raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta.dim}")
+    chunks = -(-n // _CHUNK)
+    slots = [np.empty((2, min(n, _CHUNK))) for _ in range(min(2, chunks))]
     def submit(k):  # (lr, vals, block futures) of chunk k
         c = min(_CHUNK, n - k * _CHUNK)
         sub = stream.child(counter=stream.counter + k)
-        lr, vals = np.empty(c), np.empty(c)
+        lr, vals = slots[k % 2][:, :c]
         def block(rows):
             x, w = np.empty((rows.stop - rows.start, theta.dim)), lr[rows]
             _draw_rows(theta, c, sub, rows.start, x, w)
@@ -91,14 +94,14 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
         return lr, vals, _submit(block, _blocks(c, _block_rows(theta.dim)))
 
     moments, max_val, sum_sq, lr_ends = (0, 0.0, 0.0), 0.0, 0.0, []
-    ahead, chunks = submit(0), -(-n // _CHUNK)
+    ahead = submit(0)
     for k in range(1, chunks + 1):
-        lr, vals, futures = ahead  # drops chunk k - 2 before chunk k is allocated
+        lr, vals, futures = ahead
         ahead = submit(k) if k < chunks else None
         lr_ends += [end for future in futures for end in future.result()]
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = merge_moments(moments, chunk_moments(vals))
             max_val = max(max_val, float(vals.max()))
+            moments = merge_moments(moments, chunk_moments(vals))
             sum_sq += float(lr.sum())
     _, est, m2 = moments
     if not math.isfinite(est + m2 + sum_sq):

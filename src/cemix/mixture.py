@@ -120,7 +120,7 @@ def _lr(theta: MixtureParam, x: np.ndarray, lr: np.ndarray, post: np.ndarray = N
     """likelihood_ratio of the rows of x into lr and, given the component-major (m, n)
     post, their posteriors into it."""
     for rows, top, e, s in _tilt_slices(theta, x):
-        np.divide(np.exp(-top), s, out=lr[rows])
+        np.divide(np.exp(np.negative(top, out=top), out=top), s, out=lr[rows])
         if post is not None:
             np.divide(e, s, out=post[:, rows])
 
@@ -180,6 +180,7 @@ def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.nd
     ndtri(flat, out=flat)
     for rows in _blocks(len(x), 2 ** 16 // theta.dim):  # bounds the gathered-means temporary
         x[rows] += np.take(theta.means, labels[rows], axis=0)
+    del labels  # not alive beside the tilt slice
     _lr(theta, x, lr, post)
 
 

@@ -73,7 +73,7 @@ def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: i
         lrs.append(likelihood_ratio(theta, x))
         payoff = model.payoff(x)
         vals.append(payoff * lrs[-1])
-        moments = merge_moments(moments, chunk_moments(vals[-1]))
+        moments = merge_moments(moments, chunk_moments(vals[-1].copy()))
         sum_sq += float(np.sum(payoff * vals[-1]))
     _, est, m2 = moments
     top = max(v.max() for v in vals)

@@ -234,6 +234,22 @@ class TestFusedPass:
                 tracemalloc.stop()
         assert peak < 16e6
 
+    def test_final_pass_holds_no_spare_chunk_vector(self, monkeypatch):
+        # the same six chunks on one worker: the two reused chunk slots take 6.4 MB
+        # and one 28576-row block's temporaries about 1.2 MB; a deviation copy of a
+        # chunk's V lr, or fresh vectors for each chunk, would add 1.6 MB
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        theta = MixtureParam([0.7, 0.3], [[2.3], [-2.8]])
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(numerics, "_POOL", pool)
+            tracemalloc.start()
+            try:
+                is_estimate(model, theta, 6 * estimate._CHUNK, RngStream(20, phase="final_is"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8.4e6
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             is_estimate(Constant(), MixtureParam.single([0.0]), 100, RngStream(16))
@@ -249,7 +265,7 @@ class TestMergeMoments:
             data.draw(st.sets(st.integers(1, n - 1), max_size=12)))
         merged = (0, 0.0, 0.0)
         for chunk in np.split(vals, cuts):
-            merged = merge_moments(merged, chunk_moments(chunk))
+            merged = merge_moments(merged, chunk_moments(chunk.copy()))
         mean = math.fsum(values) / n
         m2 = math.fsum((v - mean) ** 2 for v in values)
         # beyond rtol 1e-12, allow for the rounding of the means: a chunk

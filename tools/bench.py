@@ -13,15 +13,18 @@ same way; then each side runs the tier-1 suite once, the first side continuing
 the alternation.  Last, each side prints tools/rows_digest.py four ways: with the
 default pool, with --workers 1, with --workers 3, and with OPENBLAS_NUM_THREADS=1 in
 its environment.  Each side's src/cemix/*.py line count (as `wc -l` counts it) is
-recorded as src_lines.
+recorded as src_lines.  Around each perfbench run, the RUSAGE_CHILDREN deltas
+(which take in the run's set-up probes too) divided by the run's pass count give
+its minor page faults, user CPU seconds and system CPU seconds per pass.
 
 The file holds, per workload and end-to-end metric, each side's median and
 quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
 ratio of the medians and the share of pairs in which the change was better or
-equal; then the table wall times, each side's tier-1 wall time with its passed
-and failed counts, each side's digest per setting against the parent's default
-digest (equal or not, and the count of differing rows), and the environment block
-of the runs.  Host speed drifts between sessions, so only the pairs of one file
+equal, and per workload each side's median resource use per pass; then the
+table wall times, each side's tier-1 wall time with its passed and failed
+counts, each side's digest per setting against the parent's default digest
+(equal or not, and the count of differing rows), and the environment block of
+the runs.  Host speed drifts between sessions, so only the pairs of one file
 compare; the digests compare across files.
 """
 
@@ -29,6 +32,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -49,6 +53,8 @@ DIGESTS = {  # setting: (rows_digest.py arguments, environment additions)
     "openblas_threads_1": ([], {"OPENBLAS_NUM_THREADS": "1"}),
 }
 
+USAGE = {"minor_faults": "ru_minflt", "user_s": "ru_utime", "system_s": "ru_stime"}
+
 TIME_TABLES = """
 import json, sys, time
 sys.path.insert(0, "src")
@@ -68,16 +74,22 @@ def git(*args) -> str:
 
 
 def run_side(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run, with its environment block."""
+    """The result line of one perfbench run, with its environment block and its
+    resource use per pass."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)], cwd=side, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
         raise SystemExit(f"perfbench run failed in {side}:\n{done.stderr}")
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     env = next(line for line in lines if line.startswith("environment "))
     result["environment"] = json.loads(env[len("environment "):])
+    passes = int(re.search(r"^passes (\d+);", done.stdout, re.M).group(1))
+    result["per_pass"] = {name: (getattr(after, field) - getattr(before, field)) / passes
+                          for name, field in USAGE.items()}
     return result
 
 
@@ -180,6 +192,9 @@ def main():
                     "correct": {side: all(r["correct"] for r in results[side])
                                 for side in results},
                     "metrics": compare(results, bench["end_to_end"]),
+                    "per_pass": {side: {name: statistics.median(r["per_pass"][name]
+                                                                for r in results[side])
+                                        for name in USAGE} for side in results},
                 }
             tables = {"parent": [], "change": []}
             for i in range(TABLE_ROUNDS):
@@ -212,6 +227,9 @@ def main():
             print(f"{workload:10s} {name:18s} parent {m['parent']['median']:.5g} "
                   f"change {m['change']['median']:.5g} ratio {m['ratio']:.3f} "
                   f"won {m['won']:.0%}")
+        for side, usage in data["per_pass"].items():
+            print(f"{workload:10s} per pass {side:6s} minor faults {usage['minor_faults']:.0f}, "
+                  f"user {usage['user_s']:.3f} s, system {usage['system_s']:.3f} s")
     for side in ("parent", "change"):
         print(f"{side} digests: " + ", ".join(
             f"{name} {'equal' if v['equal'] else str(v['rows_differing']) + ' rows differ'}"
