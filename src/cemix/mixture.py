@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch
-from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks
+from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks, ndtri
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))

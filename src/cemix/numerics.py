@@ -1,16 +1,42 @@
 """Deterministic numerical utilities: the row-block thread pool, Cholesky,
-root finding, and the normal CDF oracle."""
+root finding, the normal CDF oracle, and the loader of scipy's ndtr and ndtri
+ufuncs that skips scipy.special's package __init__."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NoBracket, NotPositiveDefinite
+
+
+def _load_normal_ufuncs() -> tuple:
+    """(ndtr, ndtri), the same objects as scipy.special's.  Its package __init__ loads
+    scipy's array-API layer, more modules than cemix and numpy together, so they come
+    from the compiled scipy.special._ufuncs, imported under a stub package that holds
+    only the real __path__ and never outlives the import."""
+    if "scipy.special" not in sys.modules:
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
+        sys.modules["scipy.special"] = stub
+        try:
+            from scipy.special._ufuncs import ndtr, ndtri
+            return ndtr, ndtri
+        except ImportError:  # _ufuncs is private: a scipy that moved it takes the package
+            pass
+        finally:
+            del sys.modules["scipy.special"]
+    from scipy.special import ndtr, ndtri
+    return ndtr, ndtri
+
+
+ndtr, ndtri = _load_normal_ufuncs()
 
 # blocks write disjoint slices of one output: no result depends on the size
 _POOL = ThreadPoolExecutor(os.cpu_count() or 1)

@@ -65,6 +65,19 @@ ASIAN_YAML = {"name": "asian_call", **ASIAN, "strike": 60.0}
 CEV_YAML = {"name": "cev_digital", **CEV, "strike": 60.0}
 
 
+def rainbow_row_config(tmp_path):
+    """A small approx rainbow row's config file."""
+    return write_config(tmp_path / "cfg.yaml", model=RAINBOW_YAML, init={"method": "approx"},
+                        ce={"pilot_size": 500, "iterations": 1}, sampling={"n": 2000, "seed": 1})
+
+
+def run_child(script, *args):
+    """script run by a fresh interpreter that imports this checkout's cemix."""
+    env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 class TestExperiments:
     def test_table_configs_shapes(self):
         assert len(table_configs(1)) == 6
@@ -139,19 +152,54 @@ class TestExperiments:
         assert child.stdout == here.getvalue()
 
     def test_runs_load_no_scipy_linalg(self, tmp_path):
-        # a fresh interpreter (this one has the oracles' scipy.linalg) runs an approx
-        # rainbow row, whose tilts take the triangular solves, and imports numpy and
-        # scipy.special only
-        cfg = write_config(tmp_path / "cfg.yaml", model=RAINBOW_YAML, init={"method": "approx"},
-                           ce={"pilot_size": 500, "iterations": 1},
-                           sampling={"n": 2000, "seed": 1})
+        # a fresh interpreter (this one has the oracles' scipy.linalg and scipy.special)
+        # runs an approx rainbow row, whose tilts take the triangular solves; it loads
+        # neither scipy.linalg nor scipy.special's package __init__ and its array-API layer
         script = ("import sys; from cemix.cli import main; code = main(['run', sys.argv[1]]); "
-                  "print('scipy.linalg' in sys.modules); sys.exit(code)")
-        env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
-        child = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
-                               capture_output=True, text=True, timeout=300)
+                  "print([m in sys.modules for m in "
+                  "('scipy.linalg', 'scipy.special', 'scipy._lib._array_api')]); sys.exit(code)")
+        child = run_child(script, rainbow_row_config(tmp_path))
         assert child.returncode == 0, child.stderr
-        assert child.stdout.splitlines()[-1] == "False"
+        assert child.stdout.splitlines()[-1] == "[False, False, False]"
+
+    def test_scipy_special_after_cemix_has_the_same_ufuncs(self):
+        script = ("from cemix import mixture, numerics; import scipy.special as s; "
+                  "print(s.ndtri is mixture.ndtri, s.ndtr is numerics.ndtr)")
+        child = run_child(script)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["True", "True"]
+
+    def test_runs_after_scipy_special(self, tmp_path):
+        # scipy.special already loaded: cemix takes its ufuncs as they are
+        script = ("import sys, scipy.special; from cemix import numerics; "
+                  "from cemix.cli import main; code = main(['run', sys.argv[1]]); "
+                  "print(numerics.ndtri is scipy.special.ndtri); sys.exit(code)")
+        child = run_child(script, rainbow_row_config(tmp_path))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "True"
+
+    def test_moved_private_ufuncs_fall_back_to_the_package(self):
+        # a scipy without scipy.special._ufuncs, as seen under the stub package (which,
+        # unlike the real one, has no __file__): cemix imports the package instead, and
+        # leaves the real one in sys.modules
+        script = """
+import sys
+class Moved:
+    raised = 0
+    def find_spec(self, name, path=None, target=None):
+        special = sys.modules.get("scipy.special")
+        if name == "scipy.special._ufuncs" and not hasattr(special, "__file__"):
+            Moved.raised += 1
+            raise ImportError(name)
+sys.meta_path.insert(0, Moved())
+from cemix import numerics
+special = sys.modules["scipy.special"]
+print(Moved.raised, hasattr(special, "__file__"), numerics.ndtr is special.ndtr,
+      numerics.ndtri is special.ndtri)
+"""
+        child = run_child(script)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["1", "True", "True", "True"]
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):

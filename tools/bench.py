@@ -3,8 +3,9 @@
     python tools/bench.py PARENT --out BENCH_18.json
 
 PARENT is checked out with `git worktree add` into a temporary directory.  The
-change is a copy of this checkout's src/, perfbench/, tests/, tools/ and
-pyproject.toml (uncommitted edits included), so no run writes into the checkout.  For each
+change is a copy of this checkout's src/, perfbench/, tests/, tools/, BENCHMARK.json and
+pyproject.toml (uncommitted edits included), so no run writes into the checkout; it is
+labelled `+ uncommitted edits` only when a tracked file among those is dirty.  For each
 workload of BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py
 --workload W --seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds;
 the side that runs first alternates from pair to pair.  Then each side times
@@ -45,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # per workload
 SEED = 21  # workload seed of the first pair
 TABLE_ROUNDS = 3
+CHANGE_DIRS = ("src", "perfbench", "tests", "tools")  # the change side: copies of these
+CHANGE_FILES = ("BENCHMARK.json", "pyproject.toml")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 DIGESTS = {  # setting: (rows_digest.py arguments, environment additions)
     "default": ([], {}),
@@ -168,10 +171,10 @@ def main():
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         git("worktree", "add", "--detach", str(sides["parent"]), parent_commit)
         try:
-            for part in ("src", "perfbench", "tests", "tools"):
+            for part in CHANGE_DIRS:
                 shutil.copytree(ROOT / part, sides["change"] / part,
                                 ignore=shutil.ignore_patterns("__pycache__", "out"))
-            for part in ("BENCHMARK.json", "pyproject.toml"):
+            for part in CHANGE_FILES:
                 shutil.copy(ROOT / part, sides["change"])
             order = [("parent", "change"), ("change", "parent")]
             workloads, env = {}, {}
@@ -207,7 +210,8 @@ def main():
             lines = {side: src_lines(path) for side, path in sides.items()}
         finally:
             git("worktree", "remove", "--force", str(sides["parent"]))
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--",
+                     *CHANGE_DIRS, *CHANGE_FILES))
     out = {
         "parent": parent_commit,
         "change": git("rev-parse", "HEAD") + (" + uncommitted edits" if dirty else ""),
