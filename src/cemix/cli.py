@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import stat
 import sys
 from pathlib import Path
 
@@ -97,9 +98,16 @@ def _print_rows(rows):
 
 
 def _check_output(path):
-    """Reject an output path that cannot take a file, before any row runs."""
-    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-        raise ConfigError(f"output path {path} is a directory or lies in a missing one")
+    """Reject an output path that cannot take a file, before any row runs: a directory,
+    a path in a missing directory (a dangling link's target too) or one the OS refuses."""
+    try:
+        target = Path(path).resolve()  # RuntimeError on a link loop before Python 3.13
+        if not target.parent.is_dir() or stat.S_ISDIR(target.stat().st_mode):
+            raise ConfigError(f"output path {path} is a directory or lies in a missing one")
+    except FileNotFoundError:  # a new file in an existing directory
+        pass
+    except (OSError, RuntimeError) as exc:
+        raise ConfigError(f"output path {path} is not usable: {exc}") from None
 
 
 def _write_csv(rows, path):
@@ -112,7 +120,8 @@ def _write_csv(rows, path):
 
 def _run(configs, path) -> int:
     """Echo and run each config, then print the rows and write them to the CSV path."""
-    _check_output(path)
+    if path:
+        _check_output(path)
     rows = []
     for cfg in configs:
         _echo_config(cfg)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateUpdate, DimensionMismatch
 from .mixture import (DEFAULT_WEIGHT_FLOOR, LOG_2PI, MixtureParam, SampleBatch, _draw_rows,
-                      _log_density)
-from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks
+                      log_mixture_density)
+from .numerics import _PRODUCT_MADDS, _block_rows, _blocks, _map
 from .rng import RngStream
 
 
@@ -93,9 +93,7 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
     its previous mean; the weight floor keeps its weight alive.  Pass
     weight_floor=0 to get the raw EM-ascent update (weights may then hit
     zero, which the MixtureParam constructor rejects, so a tiny positive
-    floor is applied in that case only where needed).  The sums run over
-    the _pilot_blocks on the calling thread, on the (m, k) posteriors
-    batch.posteriors[rows].T, as run_ce's fused pilot runs them on the pool.
+    floor is applied in that case only where needed).
     """
     payoff = np.asarray(payoff, dtype=float)
     n = batch.x.shape[0]
@@ -103,54 +101,47 @@ def mixture_update(batch: SampleBatch, payoff, theta_prev: MixtureParam,
         raise ValueError("inconsistent pilot batch and payoff lengths")
     w = _weights(payoff, batch.lr)  # a negative payoff before a bad likelihood ratio
     _check_lr(batch.lr)
-    return _update([_block_sums(batch.x[rows], w[rows], batch.posteriors[rows].T)
-                    for rows in _pilot_blocks(n, batch.x.shape[1])],
-                   theta_prev, weight_floor)
-
-
-def _objective_sum(theta: MixtureParam, x, payoff, lr) -> float:
-    """Sum of V*lr * log h_theta over the rows of one block with V > 0."""
-    active = payoff > 0
-    if not np.any(active):
-        return 0.0
-    return float((payoff[active] * lr[active] * _log_density(theta, x[active])).sum())
+    return _update([_block_sums(batch.x, w, batch.posteriors.T)], theta_prev, weight_floor)
 
 
 def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixtureParam) -> float:
-    """Sampled CE objective (1/N) sum_k V*lr * log h_theta(X_k), summed over the
-    _pilot_blocks in block order."""
-    n = batch.x.shape[0]
-    return sum(_objective_sum(theta, batch.x[rows], payoff[rows], batch.lr[rows])
-               for rows in _pilot_blocks(n, theta.dim)) / n
+    """Sampled CE objective (1/N) sum_k V*lr * log h_theta(X_k), over the rows with V > 0."""
+    active = payoff > 0
+    return float((payoff[active] * batch.lr[active]
+                  * log_mixture_density(theta, batch.x[active])).sum()) / batch.x.shape[0]
+
+
+def _pilot_pass(theta: MixtureParam, n: int, stream: RngStream, price) -> list:
+    """[price(x, lr, post) of each block of sample_mixture(theta, n, stream)]: one pool map
+    over blocks of half a final pass's _block_rows, drawn with (m, rows) posteriors.  A block
+    whose lr is not finite raises unpriced; price runs on the pool: it calls private code."""
+    def draw(rows):
+        k = rows.stop - rows.start
+        x, lr, post = np.empty((k, theta.dim)), np.empty(k), np.empty((theta.m, k))
+        _draw_rows(theta, n, stream, rows.start, x, lr, post)
+        _check_lr(lr)  # rows that far out may overflow the payoff: not priced
+        return price(x, lr, post)
+
+    return _map(draw, _blocks(n, _block_rows(theta.dim) // 2))
 
 
 def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: float):
-    """One fused CE iteration: (new theta, objective under theta, positive-payoff count).
-
-    The values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
-    surrogate_objective under theta, from the same rows, with no (n, m) posterior array.
-    One pool map draws, weights and prices each of the _pilot_blocks and takes its
-    _block_sums and its objective sum, log h = log phi_d - log lr under the drawing theta,
-    from one w = V*lr; a block whose likelihood ratios are not finite raises unpriced.
-    The main thread adds the sums in block order and builds the new theta.
-    """
-    d, m = theta.dim, theta.m
-
-    def draw(rows):
-        k = rows.stop - rows.start
-        x, lr, post = np.empty((k, d)), np.empty(k), np.empty((m, k))
-        _draw_rows(theta, n, stream, rows.start, x, lr, post)
-        _check_lr(lr)  # rows that far out may overflow the payoff: not priced
+    """One fused CE iteration: (new theta, objective under theta, positive-payoff count),
+    the values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
+    surrogate_objective under theta, with no (n, m) posterior array.  Each block of one
+    _pilot_pass gives its _block_sums and its objective sum, log h = log phi_d - log lr
+    under the drawing theta, from one w = V*lr."""
+    def price(x, lr, post):
         payoff = model._payoff(x)
         w = _weights(payoff, lr)
         kept = w > 0  # lr > 0 there: its log is finite
-        log_h = -0.5 * np.einsum("nd,nd->n", x, x)[kept] - 0.5 * d * LOG_2PI - np.log(lr[kept])
+        log_h = (-0.5 * np.einsum("nd,nd->n", x, x)[kept] - 0.5 * x.shape[1] * LOG_2PI
+                 - np.log(lr[kept]))
         return (int(np.count_nonzero(payoff > 0)), float((w[kept] * log_h).sum()),
                 _block_sums(x, w, post))
 
-    drawn = _map(draw, _pilot_blocks(n, d))
-    new = _update([block[2] for block in drawn], theta, weight_floor)
-    return new, sum(block[1] for block in drawn) / n, sum(block[0] for block in drawn)
+    positive, objective, sums = zip(*_pilot_pass(theta, n, stream, price))
+    return _update(sums, theta, weight_floor), sum(objective) / n, sum(positive)
 
 
 def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PilotConfig, _check_lr, mixture_update
+from .engine import PilotConfig, _block_sums, _pilot_pass, _update, _weights
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
-from .mixture import MixtureParam, min_tilt_distance, sample_mixture
+from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, min_tilt_distance
 from .models import require_init
 from .rng import RngStream
 
@@ -107,18 +107,19 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     delta = np.zeros(m)
     trace = []
     for stage in range(cfg.max_stages):
-        batch = sample_mixture(theta, cfg.pilot_size,
-                               stream.child(phase="init", iteration=stream.iteration + stage))
-        _check_lr(batch.lr)  # rows that far out may overflow the levels
-        levels = model.rarity_levels(batch.x)
+        blocks = _pilot_pass(theta, cfg.pilot_size,
+                             stream.child(phase="init", iteration=stream.iteration + stage),
+                             lambda *block: block)
+        levels = np.concatenate([model.rarity_levels(x) for x, _, _ in blocks])
         if levels.shape[1] != m:
             raise ConfigError(f"rarity_ce needs one component per rarity level: "
                               f"{levels.shape[1]}, got {m}")
         new_delta = rarity_delta(levels, n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
         counts = (levels >= new_delta).sum(axis=0)
-        payoff = model.rarity_payoff(new_delta, batch.x)
-        theta = MixtureParam.uniform(mixture_update(batch, payoff, theta).means)
+        sums = [_block_sums(x, _weights(model.rarity_payoff(new_delta, x), lr), post)
+                for x, lr, post in blocks]
+        theta = MixtureParam.uniform(_update(sums, theta, DEFAULT_WEIGHT_FLOOR).means)
         delta = new_delta
         trace.append(RarityStageRecord(
             stage=stage + 1, delta=delta.copy(), theta=theta,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import _PRODUCT_MADDS, _blocks, _map, _pilot_blocks, ndtri
+from .numerics import _PRODUCT_MADDS, _blocks, ndtri
 from .rng import RngStream
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -105,7 +105,7 @@ def _tilt_slices(theta: MixtureParam, x: np.ndarray):
     a = theta.means
     shift = (np.log(theta.weights) - 0.5 * np.einsum("md,md->m", a, a))[:, None]
     for rows in _blocks(len(x), _PRODUCT_MADDS // (theta.m * theta.dim)):
-        # a far tilt overflows to a non-finite lr here, which mixture_update rejects
+        # a far tilt overflows to a non-finite lr here, which _check_lr rejects
         with np.errstate(over="ignore", invalid="ignore"):
             t = a @ x[rows].T
             t += shift
@@ -124,18 +124,14 @@ def _lr(theta: MixtureParam, x: np.ndarray, lr: np.ndarray, post: np.ndarray = N
             np.divide(e, s, out=post[:, rows])
 
 
-def _log_density(theta: MixtureParam, x: np.ndarray) -> np.ndarray:
-    """log_mixture_density of the rows of the (n, d) x."""
+def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
+    """log h_theta(x) = log phi_d(x) + log sum_j exp(t_j(x)), max-shifted."""
+    x = _as_batch(x, theta.dim)
     out = np.empty(len(x))
     for rows, top, _, s in _tilt_slices(theta, x):
         out[rows] = (top + np.log(s) - 0.5 * np.einsum("nd,nd->n", x[rows], x[rows])
                      - 0.5 * theta.dim * LOG_2PI)
     return out
-
-
-def log_mixture_density(theta: MixtureParam, x) -> np.ndarray:
-    """log h_theta(x) = log phi_d(x) + log sum_j exp(t_j(x)), max-shifted."""
-    return _log_density(theta, _as_batch(x, theta.dim))
 
 
 def likelihood_ratio(theta: MixtureParam, x) -> np.ndarray:
@@ -184,12 +180,10 @@ def _draw_rows(theta: MixtureParam, n: int, stream: RngStream, lo: int, x: np.nd
 
 
 def sample_mixture(theta: MixtureParam, n: int, stream: RngStream) -> SampleBatch:
-    """n iid draws from h_theta with their likelihood ratios and posteriors:
-    _draw_rows over the _pilot_blocks on the thread pool, each block from its own words:
-    the sampler's one program caller is the rarity-stage pilot."""
+    """n iid draws from h_theta with their likelihood ratios and posteriors: one _draw_rows
+    on the calling thread, of the rows that the engine's _pilot_pass draws in blocks."""
     if n < 1:
         raise ValueError("n must be >= 1")
     x, lr, post = np.empty((n, theta.dim)), np.empty(n), np.empty((theta.m, n))
-    _map(lambda rows: _draw_rows(theta, n, stream, rows.start, x[rows], lr[rows], post[:, rows]),
-         _pilot_blocks(n, theta.dim))
+    _draw_rows(theta, n, stream, 0, x, lr, post)
     return SampleBatch(x, lr, post.T)

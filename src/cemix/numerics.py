@@ -65,12 +65,6 @@ def _blocks(n: int, size: int) -> list:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _pilot_blocks(n: int, d: int) -> list:
-    """_blocks of an n-row CE pilot in d dimensions: half the _block_rows of a final
-    pass, so a pilot of a few thousand rows still spans more than one block of the pool."""
-    return _blocks(n, _block_rows(d) // 2)
-
-
 def _map(fn: Callable, items) -> list:
     """[fn(item) for item in items] in order, on the pool; inline for one item.  fn calls
     no public cemix callable: perfbench's tracer has one span stack.  If fn raises, _map

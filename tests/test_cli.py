@@ -549,6 +549,8 @@ class TestCliMain:
          "init means are not finite and pairwise distinct"),
         ({"init": {"method": "rarity_ce", "means": [[-0.1], [-0.1]]}},
          "init means are not finite and pairwise distinct"),
+        ({"output": {"path": "x" * 300 + ".csv"}}, "File name too long"),
+        ({"output": {"path": "dangling.csv"}}, "lies in a missing one"),
     ], ids=["count_not_number", "count_not_whole", "n_below_2", "unknown_top_key",
             "unknown_ce_key", "unknown_sampling_key", "unknown_init_key",
             "adapt_weights_removed", "unknown_model_param", "missing_model_param",
@@ -560,8 +562,10 @@ class TestCliMain:
             "rarity_ce_one_mean", "rainbow_rarity_ce_m3", "rainbow_rarity_ce_m1",
             "cev_approx_tilts_not_finite", "cev_rate_unbounded", "asian_sigma_unbounded",
             "cev_sigma_unbounded", "perturbation_overflow", "coinciding_means",
-            "rarity_ce_coinciding_means"])
-    def test_bad_input_config_exit(self, tmp_path, capsys, overrides, named):
+            "rarity_ce_coinciding_means", "output_name_too_long", "output_dangling_link"])
+    def test_bad_input_config_exit(self, tmp_path, capsys, monkeypatch, overrides, named):
+        monkeypatch.chdir(tmp_path)  # output paths are relative to it
+        (tmp_path / "dangling.csv").symlink_to(tmp_path / "absent" / "x.csv")
         cfg = write_config(tmp_path / "cfg.yaml", **overrides)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err

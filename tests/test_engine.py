@@ -9,6 +9,7 @@ from cemix.engine import (
     CeConfig,
     _block_sums,
     _pilot,
+    _pilot_pass,
     mixture_update,
     run_ce,
     surrogate_objective,
@@ -378,6 +379,21 @@ class TestFusedPilot:
             runs.append((new.weights.tobytes(), new.means.tobytes(), objective, positive))
         assert runs[0] == runs[1] == runs[2]
 
+    @pytest.mark.parametrize("name", ["tail-1d", "pyramid-4d", "cev-100d"])
+    def test_pass_blocks_are_sample_mixture_rows(self, name, monkeypatch):
+        # the blocks of a pilot pass, put together, are the one whole-batch draw
+        _, theta, n = pilot_problem(name)
+        batch = sample_mixture(theta, n, PILOT_STREAM)
+        for workers in (1, 2, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(numerics, "_POOL", pool)
+                blocks = _pilot_pass(theta, n, PILOT_STREAM, lambda *block: block)
+            assert len(blocks) > 1
+            x, lr, post = zip(*blocks)
+            np.testing.assert_array_equal(np.concatenate(x), batch.x)
+            np.testing.assert_array_equal(np.concatenate(lr), batch.lr)
+            np.testing.assert_array_equal(np.concatenate(post, axis=1), batch.posteriors.T)
+
     def test_negative_payoff_rejected(self):
         class Signed(Model):
             dim = 1
@@ -406,7 +422,7 @@ class TestFusedPilot:
                 lr[0] = np.nan
 
         monkeypatch.setattr(engine, "_draw_rows", spoiled)
-        assert len(numerics._pilot_blocks(40_000, 1)) == 3
+        assert len(numerics._blocks(40_000, numerics._block_rows(1) // 2)) == 3
         for workers in (1, 2, 3):
             with ThreadPoolExecutor(workers) as pool:
                 monkeypatch.setattr(numerics, "_POOL", pool)

@@ -1,8 +1,11 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cemix import numerics
 from cemix.errors import ApproxUnavailable, ConfigError, StagnantRarity
 from cemix.initialization import (
     RarityConfig,
@@ -156,6 +159,20 @@ class TestRarityCe:
         assert np.all(np.diff(deltas, axis=0) >= 0)
         assert np.all(deltas[-1] >= 1.0)
         assert np.all(deltas[:-1].max(axis=1) < np.inf)
+
+    def test_stages_do_not_depend_on_pool(self, monkeypatch):
+        # a stage's 40k-row pilot spans three blocks of the pass
+        model, theta0 = TwoSidedTail(a=2.0, b=-2.5), MixtureParam.uniform([[0.0], [-0.1]])
+        runs = []
+        for workers in (1, 2, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(numerics, "_POOL", pool)
+                _, trace = init_rarity_ce(model, RarityConfig(pilot_size=40_000), theta0,
+                                          RngStream(1, phase="init"))
+            runs.append([(rec.delta.tobytes(), rec.theta.means.tobytes(),
+                          rec.samples_in_set.tobytes()) for rec in trace])
+        assert len(runs[0]) >= 2
+        assert runs[0] == runs[1] == runs[2]
 
     def test_weights_stay_uniform(self):
         _, trace = self.run_two_sided(2.0, -2.5, seed=3)
