@@ -18,17 +18,9 @@ import numpy as np
 from .engine import CeConfig, run_ce
 from .errors import ConfigError
 from .estimate import is_estimate
-from .initialization import (RarityConfig, init_approx, init_perturbation, init_rarity_ce,
-                             uniform_start)
+from .initialization import InitConfig, initial_mixture, require_init
 from .mixture import min_tilt_distance
-from .models import (
-    AsianCall,
-    CevDigital,
-    PyramidOption,
-    RainbowOption,
-    TwoSidedTail,
-    require_init,
-)
+from .models import AsianCall, CevDigital, PyramidOption, RainbowOption, TwoSidedTail
 from .rng import RngStream
 
 MODEL_REGISTRY = {cls.name: cls for cls in
@@ -97,26 +89,6 @@ def from_config(cls, values: dict, what: str, **given):
 
 
 @dataclass(kw_only=True)
-class InitConfig(RarityConfig):
-    """The init: section; rarity_ce reads the RarityConfig fields."""
-
-    method: str
-    means: np.ndarray | None = None  # starting tilts; drawn when None
-    m: int | None = None             # drawn component count; None: the model's
-    base: np.ndarray = 0.0
-    scale: float = 0.1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if np.ndim(self.means) > 2:
-            raise ConfigError("init means must have one row per component")
-        if self.m is not None and self.m < 1:
-            raise ConfigError(f"init m must be >= 1, got {self.m}")
-        if self.scale < 0:
-            raise ConfigError(f"init scale must be >= 0, got {self.scale}")
-
-
-@dataclass(kw_only=True)
 class ExperimentConfig(CeConfig):
     """One result row's settings: CeConfig's run settings plus the problem."""
 
@@ -157,7 +129,6 @@ class ResultRow:
     tilts: np.ndarray
     flags: list
     init_stages: int
-    config: ExperimentConfig = None
     trace: list = field(default=None, repr=False)
 
     def csv_fields(self) -> list:
@@ -183,27 +154,11 @@ def build_model(cfg: ExperimentConfig):
     return model
 
 
-def _initial_mixture(model, cfg: ExperimentConfig, stream: RngStream):
-    """Resolve the configured init strategy to (theta0, stage count)."""
-    init = cfg.init_config
-    if init.method == "approx":
-        return init_approx(model), 0
-    if init.means is not None:
-        start = uniform_start(init.means, "init means")
-    else:
-        start = init_perturbation(init.m or model.default_components, init.base, init.scale,
-                                  stream.child(phase="init", iteration=0), dim=model.dim)
-    if init.method == "perturbation":
-        return start, 0
-    theta, trace = init_rarity_ce(model, init, start, stream.child(phase="init", iteration=1))
-    return theta, len(trace)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
     """One output row: estimate, errors, variance ratio (from the final IS draws), final mixture."""
     model = build_model(cfg)
     stream = RngStream(cfg.seed)
-    theta0, init_stages = _initial_mixture(model, cfg, stream)
+    theta0, init_stages = initial_mixture(model, cfg.init_config, stream)
     theta, trace = run_ce(model, theta0, cfg, stream)
     report = is_estimate(model, theta, cfg.n_final, stream.child(phase="final_is"))
     flags = []
@@ -219,7 +174,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultRow:
         rel_error=report.relative_error,
         var_ratio=report.var_ratio,
         weights=theta.weights, tilts=theta.means,
-        flags=flags, init_stages=init_stages, config=cfg, trace=trace,
+        flags=flags, init_stages=init_stages, trace=trace,
     )
 
 

@@ -1,5 +1,6 @@
 """Initial mixture construction: random perturbation, the staged
-rarity-parameter scheme, and analytical approximation."""
+rarity-parameter scheme, and analytical approximation.  initial_mixture
+resolves the init: section to one of them and lays out their init streams."""
 
 from __future__ import annotations
 
@@ -10,8 +11,14 @@ import numpy as np
 from .engine import PilotConfig, _block_sums, _pilot_pass, _update, _weights
 from .errors import ApproxUnavailable, ConfigError, EmbeddingUnavailable, StagnantRarity
 from .mixture import DEFAULT_WEIGHT_FLOOR, MixtureParam, min_tilt_distance
-from .models import require_init
 from .rng import RngStream
+
+
+def require_init(model, method: str, error=ConfigError):
+    """Raise error unless the model (class or instance) lists method in its
+    inits."""
+    if method not in getattr(model, "inits", ()):
+        raise error(f"{model.name} does not support init method {method!r}")
 
 
 @dataclass(kw_only=True)
@@ -35,6 +42,26 @@ class RarityConfig(PilotConfig):
         if n0 < 1:
             raise ConfigError("pilot too small: floor(N*rho/m) must be >= 1")
         return n0
+
+
+@dataclass(kw_only=True)
+class InitConfig(RarityConfig):
+    """The init: section; rarity_ce reads the RarityConfig fields."""
+
+    method: str
+    means: np.ndarray | None = None  # starting tilts; drawn when None
+    m: int | None = None             # drawn component count; None: the model's
+    base: np.ndarray = 0.0
+    scale: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.ndim(self.means) > 2:
+            raise ConfigError("init means must have one row per component")
+        if self.m is not None and self.m < 1:
+            raise ConfigError(f"init m must be >= 1, got {self.m}")
+        if self.scale < 0:
+            raise ConfigError(f"init scale must be >= 0, got {self.scale}")
 
 
 @dataclass
@@ -91,14 +118,14 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
     """Staged cross-entropy over the model's rarity embedding.
 
     Repeats {sample pilot; grow delta to the largest value still reached by
-    n0 samples per component; update means with the delta-scaled payoff}
-    until delta >= 1 componentwise.  A sample is in a component's set when
-    its rarity level (model.rarity_levels) reaches that component's delta.
-    Weights stay fixed at 1/m.  Returns (theta, stage trace); the terminal
-    theta is the starting parameter for the main CE run.  Stage s draws its
-    pilot from the init stream at iteration stream.iteration + s, so the
-    stages occupy iterations [stream.iteration, stream.iteration +
-    cfg.max_stages) and leave every lower iteration to the caller.
+    n0 samples per component; update means with the delta-scaled payoff on
+    the rows in the sets} until delta >= 1 componentwise.  A row is in
+    component j's set when its rarity level j (model.rarity_levels) reaches
+    delta_j; each stage decides this once, for the counts and for the rows
+    it keeps of model.rarity_payoff.  Weights stay fixed at 1/m.  Returns
+    (theta, stage trace); the terminal theta is the starting parameter for
+    the main CE run.  Stage s draws its pilot at init iteration
+    stream.iteration + s.
     """
     require_init(model, "rarity_ce", EmbeddingUnavailable)
     m = theta_start.m
@@ -110,15 +137,20 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
         blocks = _pilot_pass(theta, cfg.pilot_size,
                              stream.child(phase="init", iteration=stream.iteration + stage),
                              lambda *block: block)
-        levels = np.concatenate([model.rarity_levels(x) for x, _, _ in blocks])
-        if levels.shape[1] != m:
+        levels = [model.rarity_levels(x) for x, _, _ in blocks]
+        if levels[0].shape[1] != m:
             raise ConfigError(f"rarity_ce needs one component per rarity level: "
-                              f"{levels.shape[1]}, got {m}")
-        new_delta = rarity_delta(levels, n0, delta)
+                              f"{levels[0].shape[1]}, got {m}")
+        new_delta = rarity_delta(np.concatenate(levels), n0, delta)
         clamped = (new_delta == delta) & (stage > 0)
-        counts = (levels >= new_delta).sum(axis=0)
-        sums = [_block_sums(x, _weights(model.rarity_payoff(new_delta, x), lr), post)
-                for x, lr, post in blocks]
+        in_set = [level >= new_delta for level in levels]  # (rows, m) per block
+        counts = sum(member.sum(axis=0) for member in in_set)
+        sums = []
+        for (x, lr, post), member in zip(blocks, in_set):
+            payoff = model.rarity_payoff(new_delta, x)
+            with np.errstate(invalid="ignore"):  # an inf payoff off every set: a NaN mass
+                payoff = payoff * member.any(axis=1)
+            sums.append(_block_sums(x, _weights(payoff, lr), post))
         theta = MixtureParam.uniform(_update(sums, theta, DEFAULT_WEIGHT_FLOOR).means)
         delta = new_delta
         trace.append(RarityStageRecord(
@@ -128,3 +160,19 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
             return theta, trace
     raise StagnantRarity(
         f"rarity parameters {delta} did not reach 1 in {cfg.max_stages} stages")
+
+
+def initial_mixture(model, init: InitConfig, stream: RngStream):
+    """(theta0, stage count) of the configured init.  Drawn means take their noise from
+    init iteration 0 of the stream, and rarity stages draw from init iteration 1 on."""
+    if init.method == "approx":
+        return init_approx(model), 0
+    if init.means is not None:
+        start = uniform_start(init.means, "init means")
+    else:
+        start = init_perturbation(init.m or model.default_components, init.base, init.scale,
+                                  stream.child(phase="init", iteration=0), dim=model.dim)
+    if init.method == "perturbation":
+        return start, 0
+    theta, trace = init_rarity_ce(model, init, start, stream.child(phase="init", iteration=1))
+    return theta, len(trace)

@@ -5,7 +5,9 @@ payoffs and names the initializers it supports in its `inits` tuple:
 
 * "perturbation" needs nothing beyond `dim` and `default_components`,
 * "rarity_ce" needs a rarity embedding: `rarity_levels(x)`, the (n, k)
-  rarity parameter each sample reaches, and `rarity_payoff(delta, x)`,
+  rarity parameter each sample reaches, and `rarity_payoff(delta, x)`, the
+  delta-scaled payoff, which the rarity stage of `initialization` keeps on
+  the rows whose level j reaches delta_j for some j,
 * "approx" needs an analytical initialization map (`approx_tilts`).
 """
 
@@ -73,16 +75,16 @@ class TwoSidedTail(Model):
     def rarity_levels(self, x):
         """(n, 2) rarity reached per side: x/a above, x/b below.
 
-        Sets are compared in delta space (x/a >= delta[0]) rather than
-        against delta*a, where rounding in (x/a)*a could drop the very
-        sample that set delta.
+        The rarity stage compares these levels with delta, in delta space,
+        rather than x with delta*a, where rounding in (x/a)*a could drop the
+        very sample that set delta.
         """
         with np.errstate(over="ignore"):  # past a tiny a or b: an infinite level
             return _as_batch(x, 1) / np.array([self.a, self.b])
 
     def rarity_payoff(self, delta, x):
-        levels = zip(self.rarity_levels(x).T, np.broadcast_to(delta, 2))
-        return _fold_columns(np.logical_or, (lv >= bound for lv, bound in levels)).astype(float)
+        """The delta-scaled event is the set itself: 1 on every row."""
+        return np.ones(len(x))
 
     def approx_tilts(self):
         return np.array([[self.a], [self.b]])
@@ -238,15 +240,12 @@ class RainbowOption(CorrelatedGbm):
     # an inf price at an inf delta: a NaN payoff, and mass
     @np.errstate(over="ignore", invalid="ignore")
     def rarity_payoff(self, delta, x):
+        """(max_j disc*S_T^(j) - disc*delta_j*K)^+ per row."""
         disc = np.exp(-self.r * self.maturity)
-        prices = self._terminal_prices(x)
-        delta = np.broadcast_to(delta, self.dim)
-        columns = list(zip(prices.T, delta, disc * delta * self.strike))
-        h = _fold_columns(np.maximum, (disc * p - k for p, _, k in columns))
-        # the level comparison of init_rarity_ce, so the sample that set
-        # delta is in the set
-        in_set = _fold_columns(np.logical_or, (p / self.strike >= dj for p, dj, _ in columns))
-        return np.maximum(h, 0.0) * in_set
+        strikes = disc * np.broadcast_to(delta, self.dim) * self.strike
+        h = _fold_columns(np.maximum, (disc * p - k for p, k in
+                                       zip(self._terminal_prices(x).T, strikes)))
+        return np.maximum(h, 0.0)
 
     def approx_tilts(self):
         """One tilt per asset, lifting that asset's mean terminal price to K."""
@@ -395,9 +394,3 @@ class CevDigital(Model):
         tilt_b[1::2] = root * y_drift * sqdt
         return np.vstack([tilt_w, tilt_b])
 
-
-def require_init(model, method: str, error=ConfigError):
-    """Raise error unless the model (class or instance) lists method in its
-    inits."""
-    if method not in getattr(model, "inits", ()):
-        raise error(f"{model.name} does not support init method {method!r}")

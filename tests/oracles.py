@@ -165,11 +165,15 @@ def rainbow_payoff(model, x):
 
 
 def rainbow_rarity_payoff(model, delta, x):
-    """The rainbow's delta-scaled payoff on the rows whose level reaches delta."""
+    """The rainbow's delta-scaled payoff (max_j disc*S_T^(j) - disc*delta_j*K)^+ by a row max."""
     disc = np.exp(-model.r * model.maturity)
-    prices = gbm_prices(model, x)
-    h = (disc * prices - disc * delta[None, :] * model.strike).max(axis=1)
-    return np.maximum(h, 0.0) * np.any(prices / model.strike >= delta[None, :], axis=1)
+    h = (disc * gbm_prices(model, x) - disc * delta[None, :] * model.strike).max(axis=1)
+    return np.maximum(h, 0.0)
+
+
+def rainbow_levels(model, x):
+    """The rainbow's rarity levels S_T^(j) / K."""
+    return gbm_prices(model, x) / model.strike
 
 
 def pyramid_payoff(model, x):
@@ -178,6 +182,6 @@ def pyramid_payoff(model, x):
     return np.exp(-model.r * model.maturity) * np.maximum(spread - model.strike, 0.0)
 
 
-def tail_rarity_payoff(model, delta, x):
-    """1 where x/a >= delta[0] or x/b >= delta[1], by a row any."""
-    return (x / np.array([model.a, model.b]) >= delta).any(axis=1).astype(float)
+def tail_levels(model, x):
+    """The tail's rarity levels (x/a, x/b)."""
+    return x / np.array([model.a, model.b])

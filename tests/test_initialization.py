@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemix import numerics
+from cemix import initialization, numerics
 from cemix.errors import ApproxUnavailable, ConfigError, StagnantRarity
 from cemix.initialization import (
+    InitConfig,
     RarityConfig,
     init_approx,
     init_perturbation,
     init_rarity_ce,
+    initial_mixture,
     rarity_delta,
 )
 from cemix.mixture import MixtureParam
@@ -174,6 +176,57 @@ class TestRarityCe:
         assert len(runs[0]) >= 2
         assert runs[0] == runs[1] == runs[2]
 
+    def spy_weights(self, monkeypatch):
+        """The (x, w) of each block that the stages' update sums see, in call order."""
+        seen, block_sums_of = [], initialization._block_sums
+
+        def block_sums(x, w, post):
+            seen.append((x, w))
+            return block_sums_of(x, w, post)
+
+        monkeypatch.setattr(initialization, "_block_sums", block_sums)
+        return seen
+
+    def test_stage_sets_are_the_levels_that_reach_delta(self, monkeypatch):
+        # on each block of a 20k-row pilot, the update weighs exactly the rows whose level
+        # reaches delta (lr > 0 at d = 1), and the counts are those rows per side
+        seen = self.spy_weights(monkeypatch)
+        _, trace = self.run_two_sided(2.0, -2.5, seed=1)
+        per_stage = len(seen) // len(trace)
+        assert per_stage >= 2 and len(seen) == per_stage * len(trace)
+        for i, rec in enumerate(trace):
+            blocks = seen[i * per_stage:(i + 1) * per_stage]
+            reached = [x / np.array([2.0, -2.5]) >= rec.delta for x, _ in blocks]
+            for (_, w), member in zip(blocks, reached):
+                np.testing.assert_array_equal(w > 0, member.any(axis=1))
+            np.testing.assert_array_equal(rec.samples_in_set, np.concatenate(reached).sum(axis=0))
+
+    @pytest.mark.parametrize("model, x, expect", [
+        # (x/b)*b rounds below x = -3.0692...: that row sets delta[1]
+        (TwoSidedTail(a=2.0, b=-2.5), [[-3.069274373323133], [0.0], [5.0]], [True, False, True]),
+        # r = sigma^2/2 puts x = 0 at prices s0 exactly: that row sets both deltas, and for
+        # this s0 its delta-scaled payoff disc*S - disc*delta*K rounds above zero
+        (RainbowOption(s0=[64.04680070645806, 62.0], sigmas=[0.5, 0.5], corr=np.eye(2),
+                       r=0.125, maturity=1.0, strike=60.0),
+         [[0.0, 0.0], [-1.0, -1.0], [-0.5, -2.0]], [True, False, False]),
+    ])
+    def test_row_that_sets_delta_is_in_its_set(self, monkeypatch, model, x, expect):
+        # a stage whose whole pilot is x, at n0 = 1 and lr = 1; row i has posterior 1 on
+        # component i % 2, so the means stay distinct
+        x = np.array(x)
+        post = np.eye(2)[np.arange(len(x)) % 2].T
+        monkeypatch.setattr(initialization, "_pilot_pass",
+                            lambda theta, n, stream, price: [price(x, np.ones(len(x)), post)])
+        seen = self.spy_weights(monkeypatch)
+        _, trace = init_rarity_ce(model, RarityConfig(pilot_size=4, rho=0.5),
+                                  MixtureParam.uniform(np.zeros(x.shape[1]) + [[0.0], [0.1]]),
+                                  RngStream(0, phase="init"))
+        levels = model.rarity_levels(x)
+        assert len(trace) == 1
+        np.testing.assert_array_equal(trace[0].delta, levels.max(axis=0))
+        np.testing.assert_array_equal(trace[0].samples_in_set, [1, 1])
+        np.testing.assert_array_equal(seen[0][1] > 0, expect)
+
     def test_weights_stay_uniform(self):
         _, trace = self.run_two_sided(2.0, -2.5, seed=3)
         for rec in trace:
@@ -227,3 +280,17 @@ class TestRarityCe:
         with pytest.raises(ApproxUnavailable):
             init_rarity_ce(model, RarityConfig(), MixtureParam.single(np.zeros(4)),
                            RngStream(6))
+
+
+class TestInitialMixture:
+    def test_drawn_rarity_ce_stream_layout(self):
+        # the drawn means take their noise from init iteration 0, the stages from 1 on
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        init = InitConfig(method="rarity_ce", pilot_size=20000)
+        theta, stages = initial_mixture(model, init, RngStream(7))
+        start = init_perturbation(2, 0.0, 0.1, RngStream(7, phase="init", iteration=0), dim=1)
+        expect, trace = init_rarity_ce(model, init, start,
+                                       RngStream(7, phase="init", iteration=1))
+        assert stages == len(trace) >= 2
+        np.testing.assert_array_equal(theta.means, expect.means)
+        np.testing.assert_array_equal(theta.weights, expect.weights)

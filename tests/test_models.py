@@ -29,9 +29,10 @@ from oracles import (
     pyramid_payoff,
     pyramid_tilts,
     rainbow_payoff,
+    rainbow_levels,
     rainbow_rarity_payoff,
     rainbow_tilts,
-    tail_rarity_payoff,
+    tail_levels,
     triangular_solves,
 )
 
@@ -83,9 +84,12 @@ class TestRarityDeltas:
         np.testing.assert_allclose(delta, [0.91, 1.91])
 
     def test_rarity_payoff_recovers_indicator_at_one(self):
+        # at delta = 1 the rows whose levels reach it are the payoff's event; the stage
+        # keeps the delta-scaled payoff on them
         model = TwoSidedTail(a=1.5, b=-2.0)
         x = normals(RngStream(2), 10_000, 1)
-        np.testing.assert_array_equal(model.rarity_payoff(np.array([1.0, 1.0]), x),
+        in_set = (model.rarity_levels(x) >= 1.0).any(axis=1)
+        np.testing.assert_array_equal(model.rarity_payoff(np.ones(2), x) * in_set,
                                       model.payoff(x))
 
     def test_sample_setting_delta_is_member(self):
@@ -97,10 +101,10 @@ class TestRarityDeltas:
         delta = rarity_delta(levels, 1, np.zeros(2))
         np.testing.assert_array_equal(levels >= delta,
                                       [[False, True], [False, False], [True, False]])
-        np.testing.assert_array_equal(model.rarity_payoff(delta, x), [1.0, 0.0, 1.0])
         # rainbow: r = sigma^2/2 puts x = 0 at prices s0 exactly; that row
-        # sets both deltas, reaches both sets, and for this s0 its
-        # delta-scaled payoff disc*S - disc*delta*K rounds above zero
+        # sets both deltas, reaches both, and for this s0 its delta-scaled
+        # payoff disc*S - disc*delta*K rounds above zero (the stage's sets:
+        # TestRarityCe.test_row_that_sets_delta_is_in_its_set)
         model = RainbowOption(s0=[58.2051153243211, 45.0], sigmas=[0.5, 0.5],
                               corr=np.eye(2), r=0.125, maturity=1.0, strike=60.0)
         x = np.array([[0.0, 0.0], [-1.0, -1.0], [-0.5, -2.0]])
@@ -241,15 +245,14 @@ def test_column_kernels_match_row_oracles(d, scale, seed):
     with np.errstate(all="ignore"):
         delta = rng.uniform(0.0, 2.0, d)
         delta[0] = rainbow.rarity_levels(x[:1])[0, 0]  # the first row sits on its level
-        tail_delta = np.array([x[1, 0] / tail.a, rng.uniform(0.0, 2.0)])
         pairs = [
             (rainbow._terminal_prices(x), gbm_prices(rainbow, x)),
             (rainbow._payoff(x), rainbow_payoff(rainbow, x)),
+            (rainbow.rarity_levels(x), rainbow_levels(rainbow, x)),
             (rainbow.rarity_payoff(delta, x), rainbow_rarity_payoff(rainbow, delta, x)),
             (pyramid._terminal_prices(x), gbm_prices(pyramid, x)),
             (pyramid._payoff(x), pyramid_payoff(pyramid, x)),
-            (tail.rarity_payoff(tail_delta, x[:, :1]),
-             tail_rarity_payoff(tail, tail_delta, x[:, :1])),
+            (tail.rarity_levels(x[:, :1]), tail_levels(tail, x[:, :1])),
         ]
     for got, want in pairs:
         np.testing.assert_array_equal(got, want)

@@ -1,12 +1,20 @@
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cemix.experiments import RAINBOW_2, table_configs
+from cemix.experiments import ASIAN, RAINBOW_2, table_configs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from references import max_call, reference  # noqa: E402
+from references import (  # noqa: E402
+    TABLE_4_CV,
+    asian_call_cv,
+    geometric_asian_call,
+    max_call,
+    reference,
+)
 
 
 class TestMaxCall:
@@ -21,3 +29,27 @@ class TestMaxCall:
             ref = reference(cfg)
             assert ref.exact
             assert ref.value == max_call(**cfg.model_params)
+
+
+class TestAsianCallCv:
+    def test_geometric_closed_form(self):
+        # against a plain Monte Carlo of the geometric-average payoff over Brownian paths
+        p, n = ASIAN, 200_000
+        dt = p["maturity"] / p["n_dates"]
+        t = dt * np.arange(1, p["n_dates"] + 1)
+        w = np.cumsum(np.random.default_rng(3).standard_normal((n, p["n_dates"])), axis=1)
+        g = p["s0"] * np.exp(((p["r"] - 0.5 * p["sigma"] ** 2) * t
+                              + p["sigma"] * math.sqrt(dt) * w).mean(axis=1))
+        for strike in (40.0, 50.0, 60.0, 70.0):
+            payoff = math.exp(-p["r"] * p["maturity"]) * np.maximum(g - strike, 0.0)
+            exact = geometric_asian_call(strike=strike, **p)
+            assert abs(payoff.mean() - exact) <= 4 * payoff.std() / math.sqrt(n), strike
+
+    def test_table_4_literals(self):
+        # a 200k-path recomputation at another seed: each value within 4 SE of the
+        # difference, each SE that of 4M paths
+        strikes = tuple(TABLE_4_CV)
+        for strike, (value, se) in zip(strikes, asian_call_cv(strikes, 200_000, 2, **ASIAN)):
+            ref, ref_se = TABLE_4_CV[strike]
+            assert abs(value - ref) <= 4 * math.hypot(se, ref_se), strike
+            assert se / math.sqrt(20.0) == pytest.approx(ref_se, rel=0.25), strike
