@@ -113,8 +113,8 @@ def surrogate_objective(batch: SampleBatch, payoff: np.ndarray, theta: MixturePa
 
 def _pilot_pass(theta: MixtureParam, n: int, stream: RngStream, price) -> list:
     """[price(x, lr, post) of each block of sample_mixture(theta, n, stream)]: one pool map
-    over blocks of half a final pass's _block_rows, drawn with (m, rows) posteriors.  A block
-    whose lr is not finite raises unpriced; price runs on the pool: it calls private code."""
+    over blocks of _block_rows(d, 2^15) rows, drawn with (m, rows) posteriors.  A block whose
+    lr is not finite raises unpriced; price runs on the pool: it calls private code."""
     def draw(rows):
         k = rows.stop - rows.start
         x, lr, post = np.empty((k, theta.dim)), np.empty(k), np.empty((theta.m, k))
@@ -122,7 +122,7 @@ def _pilot_pass(theta: MixtureParam, n: int, stream: RngStream, price) -> list:
         _check_lr(lr)  # rows that far out may overflow the payoff: not priced
         return price(x, lr, post)
 
-    return _map(draw, _blocks(n, _block_rows(theta.dim) // 2))
+    return _map(draw, _blocks(n, _block_rows(theta.dim, 2 ** 15)))
 
 
 def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: float):

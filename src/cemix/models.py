@@ -339,22 +339,29 @@ class CevDigital(Model):
         return 2 * self.n_steps
 
     def _euler(self, x):
-        """Terminal (S_T, H_T) of the rows of x by one Euler loop."""
-        z = x[:, 0::2]
-        resid = x[:, 1::2]
+        """Terminal (S_T, H_T) of the rows of x: s = max(s + sigma e^(-r(1-gamma)t) s^gamma dW, 0)
+        per step, in that order, in buffers allocated once, reading each column of x once."""
         dt = self.maturity / self.n_steps
         sqdt = np.sqrt(dt)
         root = np.sqrt(1.0 - self.rho ** 2)
         xs = np.full(x.shape[0], float(self.s0))
         ys = np.full(x.shape[0], float(self.h0))
+        z, dw, db, c = np.empty((4, x.shape[0]))
         for i in range(self.n_steps):
             t = i * dt
-            dw = sqdt * z[:, i]
-            db = sqdt * (self.rho * z[:, i] + root * resid[:, i])
-            cx = self.sigma1 * np.exp(-self.r * (1.0 - self.gamma1) * t) * xs ** self.gamma1
-            cy = self.sigma2 * np.exp(-self.r * (1.0 - self.gamma2) * t) * ys ** self.gamma2
-            xs = np.maximum(xs + cx * dw, 0.0)
-            ys = np.maximum(ys + cy * db, 0.0)
+            np.copyto(z, x[:, 2 * i])
+            np.multiply(sqdt, z, out=dw)
+            np.multiply(self.rho, z, out=db)
+            db += np.multiply(root, x[:, 2 * i + 1], out=z)
+            db *= sqdt
+            for s, dv, sigma, gamma in ((xs, dw, self.sigma1, self.gamma1),
+                                        (ys, db, self.sigma2, self.gamma2)):
+                c[:] = s
+                c **= gamma  # numpy's sqrt fast path at gamma = 0.5
+                c *= sigma * np.exp(-self.r * (1.0 - gamma) * t)
+                c *= dv
+                c += s
+                np.maximum(c, 0.0, out=s)
         grow = np.exp(self.r * self.maturity)
         return grow * xs, grow * ys
 

@@ -47,9 +47,10 @@ _POOL = ThreadPoolExecutor(os.cpu_count() or 1)
 _PRODUCT_MADDS = 2 ** 18
 
 
-def _block_rows(d: int) -> int:
-    """Rows per final-pass block of d columns: ~2^16 words, at least 8192 to amortise the GIL."""
-    return max(8192, 2 ** 16 // (d + 1))
+def _block_rows(d: int, words: int = 2 ** 16) -> int:
+    """Rows per block of d columns: ~words words (2^16 for a final pass, 2^15 for a pilot),
+    at least 4096 to amortise the GIL; a final block is twice a pilot one for d < 8."""
+    return max(4096, words // (d + 1))
 
 
 def _blocks(n: int, size: int) -> list:

@@ -84,7 +84,8 @@ def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: i
 
 def cev_paths(model, x):
     """Terminal (S_T, H_T) of CevDigital by one Euler loop over the whole
-    batch, with numpy's scalar exp and sqrt as in the model."""
+    batch, with numpy's scalar exp and sqrt as in the model, each step's
+    values in fresh arrays."""
     z, resid = x[:, 0::2], x[:, 1::2]
     dt = model.maturity / model.n_steps
     sqdt, root = np.sqrt(dt), np.sqrt(1.0 - model.rho ** 2)

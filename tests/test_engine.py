@@ -394,6 +394,18 @@ class TestFusedPilot:
             np.testing.assert_array_equal(np.concatenate(lr), batch.lr)
             np.testing.assert_array_equal(np.concatenate(post, axis=1), batch.posteriors.T)
 
+    def test_block_sizes_keep_the_pilot_partition(self, monkeypatch):
+        # pilot blocks are max(8192, 2^16 // (d + 1)) // 2 rows at every d, and final
+        # blocks max(8192, 2^16 // (d + 1)) below d = 8: the CE and rarity-stage bits,
+        # and those of every final pass below d = 8, rest on these sizes
+        sizes = []
+        monkeypatch.setattr(engine, "_blocks", lambda n, size: sizes.append(size) or [])
+        for d in range(1, 301):
+            assert _pilot_pass(MixtureParam.single(np.zeros(d)), 100, PILOT_STREAM, None) == []
+        assert sizes == [max(8192, 2 ** 16 // (d + 1)) // 2 for d in range(1, 301)]
+        assert [numerics._block_rows(d) for d in range(1, 8)] == [
+            max(8192, 2 ** 16 // (d + 1)) for d in range(1, 8)]
+
     def test_negative_payoff_rejected(self):
         class Signed(Model):
             dim = 1
@@ -422,7 +434,7 @@ class TestFusedPilot:
                 lr[0] = np.nan
 
         monkeypatch.setattr(engine, "_draw_rows", spoiled)
-        assert len(numerics._blocks(40_000, numerics._block_rows(1) // 2)) == 3
+        assert len(numerics._blocks(40_000, numerics._block_rows(1, 2 ** 15))) == 3
         for workers in (1, 2, 3):
             with ThreadPoolExecutor(workers) as pool:
                 monkeypatch.setattr(numerics, "_POOL", pool)

@@ -420,6 +420,26 @@ class TestCevDigital:
         np.testing.assert_array_equal(
             model.payoff(x), (np.maximum(s_t, h_t) >= model.strike).astype(float))
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("rho", [-0.6, 0.3])
+    def test_euler_matches_allocating_loop(self, gamma, rho):
+        # the in-place loop against a loop of fresh arrays, bit for bit: among the rows,
+        # paths absorbed at 0 and paths whose levels overflow to inf or meet inf - inf
+        model = self.make(gamma1=gamma, gamma2=gamma, rho=rho)
+        x = normals(RngStream(23), 400, 100)
+        x[:100] *= 4.0
+        x[100:120, :4] = -1000.0  # both absorbed in the first two steps
+        x[120:140, 2] = 1e300  # S overflows at gamma = 1
+        x[140:160, 6:8] = np.inf  # at inf or inf - inf, then NaN at a negative step
+        x[160:180, 98] = np.inf  # S at inf in the last step, H too at rho > 0
+        x[180:200, 99] = np.inf  # H at inf in the last step
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = model._euler(x), cev_paths(model, x)
+        for level in want:
+            assert np.any(level == 0.0) and np.any(np.isinf(level)) and np.any(np.isnan(level))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_absorption_at_zero(self):
         model = self.make(n_steps=4)
         x = np.zeros((1, 8))

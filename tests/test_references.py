@@ -53,3 +53,13 @@ class TestAsianCallCv:
             ref, ref_se = TABLE_4_CV[strike]
             assert abs(value - ref) <= 4 * math.hypot(se, ref_se), strike
             assert se / math.sqrt(20.0) == pytest.approx(ref_se, rel=0.25), strike
+
+    def test_table_4_references(self):
+        # K = 50, 60 and 70 take the control-variate values, whose z adds both SEs;
+        # K = 80 and 90 keep the paper's, with the row SE times sqrt(2)
+        refs = [reference(cfg) for cfg in table_configs(4)]
+        assert [(ref.value, ref.se) for ref in refs[:3]] == list(TABLE_4_CV.values())
+        assert [ref.value for ref in refs[3:]] == [0.0309, 0.0045]
+        assert not any(ref.exact for ref in refs) and refs[3].se is None
+        assert refs[0].se_diff(3e-4) == pytest.approx(math.hypot(3e-4, 1.3e-4))
+        assert refs[3].se_diff(3e-4) == pytest.approx(3e-4 * math.sqrt(2.0))

@@ -4,8 +4,9 @@ Each row of the named tables runs at every seed of the range.  Per row the
 audit prints
 - z = (estimate - reference) / SE_diff, as its mean, its mean |z| and its
   largest |z| over the seeds.  SE_diff is the row's SE against an exact reference (tables
-  1-3 and 5) and SE * sqrt(2) against a paper value, itself a Monte Carlo estimate
-  (tools/references.py);
+  1-3 and 5), hypot(row SE, reference SE) against table 4's control-variate values
+  at K = 50, 60 and 70, and SE * sqrt(2) against a paper value, itself a Monte Carlo
+  estimate (tools/references.py);
 - the var_ratio spread over the seeds: median, min and max;
 - the number of seeds at which the row is flagged `collapse`.
 
@@ -18,7 +19,6 @@ one's src, e.g. PYTHONPATH=../parent/src:tools.
 """
 
 import argparse
-import math
 import statistics
 
 from cemix.experiments import run_experiment, table_configs
@@ -35,6 +35,10 @@ def seed_range(text: str) -> range:
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return seeds
+
+
+def kind(ref) -> str:
+    return "exact" if ref.exact else "paper" if ref.se is None else "cv"
 
 
 def spread(values) -> str:
@@ -58,13 +62,12 @@ def main():
             ref = reference(first)
             z, vr = [], []
             for _, row in per_seed:
-                se_diff = row.std_error if ref.exact else row.std_error * math.sqrt(2.0)
-                z.append((row.estimate - ref.value) / se_diff)
+                z.append((row.estimate - ref.value) / ref.se_diff(row.std_error))
                 vr.append(row.var_ratio)
             collapses = sum("collapse" in row.flags for _, row in per_seed)
             zs += z
             print(f"{f'{table}/{first.row} {first.label}':<22} {ref.value:>10.5g} "
-                  f"{'exact' if ref.exact else 'paper':<5} {statistics.fmean(z):>7.2f} "
+                  f"{kind(ref):<5} {statistics.fmean(z):>7.2f} "
                   f"{statistics.fmean(map(abs, z)):>7.2f} {max(map(abs, z)):>7.2f}  "
                   f"{spread(vr):<30} {collapses}/{len(z)}", flush=True)
     print(f"pooled z over {len(zs)} runs: mean {statistics.fmean(zs):.3f}, "

@@ -2,7 +2,7 @@
 
     python tools/bench.py PARENT --out BENCH_18.json
 
-PARENT is checked out with `git worktree add` into a temporary directory.  The
+PARENT is unpacked by `git archive` into a temporary directory.  The
 change is a copy of this checkout's src/, perfbench/, tests/, tools/, BENCHMARK.json and
 pyproject.toml (uncommitted edits included), so no run writes into the checkout; it is
 labelled `+ uncommitted edits` only when a tracked file among those is dirty.  For each
@@ -10,8 +10,9 @@ workload of BENCHMARK.json, pair i of PAIRS runs both sides' `perfbench/run.py
 --workload W --seed SEED+i --seconds S`, S being BENCHMARK.json's run_seconds;
 the side that runs first alternates from pair to pair.  Then each side times
 reproduce_table(t, 1), t = 1-9, in a fresh process, three times, alternated the
-same way; then each side runs the tier-1 suite once, the first side continuing
-the alternation.  Last, each side prints tools/rows_digest.py four ways: with the
+same way; then each side runs the tier-1 suite three times, alternated the same
+way, the first side continuing the alternation: one run per side swings by
+seconds on a shared host.  Last, each side prints tools/rows_digest.py four ways: with the
 default pool, with --workers 1, with --workers 3, and with OPENBLAS_NUM_THREADS=1 in
 its environment.  Each side's src/cemix/*.py line count (as `wc -l` counts it) is
 recorded as src_lines.  Around each perfbench run, the RUSAGE_CHILDREN deltas
@@ -22,8 +23,8 @@ The file holds, per workload and end-to-end metric, each side's median and
 quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
 ratio of the medians and the share of pairs in which the change was better or
 equal, and per workload each side's median resource use per pass; then the
-table wall times, each side's tier-1 wall time with its passed and failed
-counts, each side's digest per setting against the parent's default digest
+table wall times, each side's tier-1 wall times with their median and each run's
+passed and failed counts, each side's digest per setting against the parent's default digest
 (equal or not, and the count of differing rows), and the environment block of
 the runs.  Host speed drifts between sessions, so only the pairs of one file
 compare; the digests compare across files.
@@ -46,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # per workload
 SEED = 21  # workload seed of the first pair
 TABLE_ROUNDS = 3
+TIER1_ROUNDS = 3
 CHANGE_DIRS = ("src", "perfbench", "tests", "tools")  # the change side: copies of these
 CHANGE_FILES = ("BENCHMARK.json", "pyproject.toml")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -74,6 +76,14 @@ print(json.dumps(walls))
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def unpack(commit: str, dest: Path):
+    """The files of commit, from `git archive`, in the new directory dest."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_side(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -169,47 +179,51 @@ def main():
     parent_commit = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        git("worktree", "add", "--detach", str(sides["parent"]), parent_commit)
-        try:
-            for part in CHANGE_DIRS:
-                shutil.copytree(ROOT / part, sides["change"] / part,
-                                ignore=shutil.ignore_patterns("__pycache__", "out"))
-            for part in CHANGE_FILES:
-                shutil.copy(ROOT / part, sides["change"])
-            order = [("parent", "change"), ("change", "parent")]
-            workloads, env = {}, {}
-            for spec in bench["workloads"]:
-                workload = spec["name"]
-                results = {"parent": [], "change": []}
-                seeds = range(SEED, SEED + PAIRS)
-                for i, seed in enumerate(seeds):
-                    for side in order[i % 2]:
-                        results[side].append(run_side(sides[side], workload, seed, seconds))
-                        env.setdefault(side, results[side][-1]["environment"])
-                    print(f"{workload} seed {seed}: " + ", ".join(
-                        f"{side} {results[side][-1]['metrics']['wall_s']['value']:.3f} s"
-                        for side in ("parent", "change")), file=sys.stderr, flush=True)
-                workloads[workload] = {
-                    "seeds": list(seeds),
-                    "first": [order[i % 2][0] for i in range(len(seeds))],
-                    "correct": {side: all(r["correct"] for r in results[side])
-                                for side in results},
-                    "metrics": compare(results, bench["end_to_end"]),
-                    "per_pass": {side: {name: statistics.median(r["per_pass"][name]
-                                                                for r in results[side])
-                                        for name in USAGE} for side in results},
-                }
-            tables = {"parent": [], "change": []}
-            for i in range(TABLE_ROUNDS):
+        unpack(parent_commit, sides["parent"])
+        for part in CHANGE_DIRS:
+            shutil.copytree(ROOT / part, sides["change"] / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        for part in CHANGE_FILES:
+            shutil.copy(ROOT / part, sides["change"])
+        order = [("parent", "change"), ("change", "parent")]
+        workloads, env = {}, {}
+        for spec in bench["workloads"]:
+            workload = spec["name"]
+            results = {"parent": [], "change": []}
+            seeds = range(SEED, SEED + PAIRS)
+            for i, seed in enumerate(seeds):
                 for side in order[i % 2]:
-                    done = subprocess.run([sys.executable, "-c", TIME_TABLES], cwd=sides[side],
-                                          check=True, capture_output=True, text=True)
-                    tables[side].append(json.loads(done.stdout))
-            tier1 = {side: time_tier1(sides[side]) for side in order[TABLE_ROUNDS % 2]}
-            identity = bit_identity(sides)
-            lines = {side: src_lines(path) for side, path in sides.items()}
-        finally:
-            git("worktree", "remove", "--force", str(sides["parent"]))
+                    results[side].append(run_side(sides[side], workload, seed, seconds))
+                    env.setdefault(side, results[side][-1]["environment"])
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} {results[side][-1]['metrics']['wall_s']['value']:.3f} s"
+                    for side in ("parent", "change")), file=sys.stderr, flush=True)
+            workloads[workload] = {
+                "seeds": list(seeds),
+                "first": [order[i % 2][0] for i in range(len(seeds))],
+                "correct": {side: all(r["correct"] for r in results[side])
+                            for side in results},
+                "metrics": compare(results, bench["end_to_end"]),
+                "per_pass": {side: {name: statistics.median(r["per_pass"][name]
+                                                            for r in results[side])
+                                    for name in USAGE} for side in results},
+            }
+        tables = {"parent": [], "change": []}
+        for i in range(TABLE_ROUNDS):
+            for side in order[i % 2]:
+                done = subprocess.run([sys.executable, "-c", TIME_TABLES], cwd=sides[side],
+                                      check=True, capture_output=True, text=True)
+                tables[side].append(json.loads(done.stdout))
+        runs = {"parent": [], "change": []}
+        for i in range(TIER1_ROUNDS):
+            for side in order[(TABLE_ROUNDS + i) % 2]:
+                runs[side].append(time_tier1(sides[side]))
+        tier1 = {side: {"median": statistics.median(run["seconds"] for run in runs[side]),
+                        **{key: [run[key] for run in runs[side]]
+                           for key in ("seconds", "passed", "failed")}}
+                 for side in runs}
+        identity = bit_identity(sides)
+        lines = {side: src_lines(path) for side, path in sides.items()}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--",
                      *CHANGE_DIRS, *CHANGE_FILES))
     out = {
@@ -238,6 +252,9 @@ def main():
         print(f"{side} digests: " + ", ".join(
             f"{name} {'equal' if v['equal'] else str(v['rows_differing']) + ' rows differ'}"
             for name, v in identity[side].items()))
+    for side in ("parent", "change"):
+        print(f"{side} tier-1: median {tier1[side]['median']:.1f} s of " + ", ".join(
+            f"{s:.1f}" for s in tier1[side]["seconds"]) + f"; failed {tier1[side]['failed']}")
     print(f"src_lines: parent {lines['parent']}, change {lines['change']}")
 
 

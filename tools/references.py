@@ -7,9 +7,10 @@ of two GBM assets, whose exact value is Stulz's (1982) closed form.  Tables 4
 and 6-9 keep the paper's values as printed; each is itself a Monte Carlo
 estimate, rounded to its last printed digit.
 
-Table 4's arithmetic-average calls at K = 50, 60 and 70 also have precise
-Monte Carlo values, TABLE_4_CV, from numpy's own generator with the geometric-
-average call as control variate (Kemna & Vorst, 1990).
+Table 4's arithmetic-average calls at K = 50, 60 and 70 have precise Monte
+Carlo values instead, TABLE_4_CV, from numpy's own generator with the geometric-
+average call as control variate (Kemna & Vorst, 1990); K = 80 and 90 keep the
+paper's, since 4M paths are not sharper than those rows.
 """
 
 import math
@@ -37,7 +38,16 @@ TABLE_4_CV = {50.0: (4.078571, 1.3e-4), 60.0: (1.020284, 1.1e-4), 70.0: (0.19289
 @dataclass(frozen=True)
 class Reference:
     value: float
-    exact: bool  # False for a paper value
+    exact: bool  # False for a Monte Carlo value
+    se: float | None = None  # of a Monte Carlo value computed here; None for a paper value
+
+    def se_diff(self, row_se: float) -> float:
+        """The SE of a row's estimate - value: the row's own against an exact value, its
+        hypot with this value's SE, or row_se * sqrt(2) against a paper value, whose SE is
+        not printed."""
+        if self.exact:
+            return row_se
+        return row_se * math.sqrt(2.0) if self.se is None else math.hypot(row_se, self.se)
 
 
 def bivariate_normal_cdf(a: float, b: float, rho: float) -> float:
@@ -109,4 +119,7 @@ def reference(cfg) -> Reference:
         return Reference(float(normal_cdf(-a) + normal_cdf(b)), exact=True)
     if cfg.table == 5:
         return Reference(max_call(**cfg.model_params), exact=True)
+    if cfg.table == 4 and cfg.model_params["strike"] in TABLE_4_CV:
+        value, se = TABLE_4_CV[cfg.model_params["strike"]]
+        return Reference(value, exact=False, se=se)
     return Reference(float(PAPER[cfg.table][cfg.row]), exact=False)
