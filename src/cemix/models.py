@@ -340,13 +340,13 @@ class CevDigital(Model):
 
     def _euler(self, x):
         """Terminal (S_T, H_T) of the rows of x: s = max(s + sigma e^(-r(1-gamma)t) s^gamma dW, 0)
-        per step, in that order, in buffers allocated once, reading each column of x once."""
+        per step, in that order, in place but for s^gamma; each column of x is read once."""
         dt = self.maturity / self.n_steps
         sqdt = np.sqrt(dt)
         root = np.sqrt(1.0 - self.rho ** 2)
         xs = np.full(x.shape[0], float(self.s0))
         ys = np.full(x.shape[0], float(self.h0))
-        z, dw, db, c = np.empty((4, x.shape[0]))
+        z, dw, db = np.empty((3, x.shape[0]))
         for i in range(self.n_steps):
             t = i * dt
             np.copyto(z, x[:, 2 * i])
@@ -356,8 +356,7 @@ class CevDigital(Model):
             db *= sqdt
             for s, dv, sigma, gamma in ((xs, dw, self.sigma1, self.gamma1),
                                         (ys, db, self.sigma2, self.gamma2)):
-                c[:] = s
-                c **= gamma  # numpy's sqrt fast path at gamma = 0.5
+                c = s ** gamma  # numpy's sqrt fast path at gamma = 0.5
                 c *= sigma * np.exp(-self.r * (1.0 - gamma) * t)
                 c *= dv
                 c += s
