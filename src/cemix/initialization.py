@@ -70,7 +70,7 @@ class RarityStageRecord:
     delta: np.ndarray
     theta: MixtureParam
     samples_in_set: np.ndarray  # per-component counts at the new delta
-    clamped: np.ndarray         # per-component: delta held by the monotone clamp
+    clamped: np.ndarray         # per component: delta held, by the monotone clamp or the cap
 
 
 def uniform_start(means, what: str) -> MixtureParam:
@@ -117,15 +117,15 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
                    stream: RngStream):
     """Staged cross-entropy over the model's rarity embedding.
 
-    Repeats {sample pilot; grow delta to the largest value still reached by
-    n0 samples per component; update means with the delta-scaled payoff on
-    the rows in the sets} until delta >= 1 componentwise.  A row is in
-    component j's set when its rarity level j (model.rarity_levels) reaches
-    delta_j; each stage decides this once, for the counts and for the rows
-    it keeps of model.rarity_payoff.  Weights stay fixed at 1/m.  Returns
-    (theta, stage trace); the terminal theta is the starting parameter for
-    the main CE run.  Stage s draws its pilot at init iteration
-    stream.iteration + s.
+    Repeats {sample pilot; grow delta to the largest value still reached by n0 samples
+    per component, capped at 1; move each component's mean to the delta-scaled-payoff
+    weighted mean over its own set} until delta = 1.  Row k is in component j's set when its
+    rarity level j (model.rarity_levels) reaches delta_j; each stage decides this once, for
+    the counts, the rows it keeps of model.rarity_payoff and the update's 0/1 posteriors.
+    The cap is the CE level rule gamma_t = min(gamma, rho-quantile) in delta space (de Boer,
+    Kroese, Mannor & Rubinstein, "A tutorial on the cross-entropy method", 2005).  Weights
+    stay 1/m.  Returns (theta, stage trace); the terminal theta starts the main CE run.
+    Stage s draws its pilot at init iteration stream.iteration + s.
     """
     require_init(model, "rarity_ce", EmbeddingUnavailable)
     m = theta_start.m
@@ -141,16 +141,16 @@ def init_rarity_ce(model, cfg: RarityConfig, theta_start: MixtureParam,
         if levels[0].shape[1] != m:
             raise ConfigError(f"rarity_ce needs one component per rarity level: "
                               f"{levels[0].shape[1]}, got {m}")
-        new_delta = rarity_delta(np.concatenate(levels), n0, delta)
+        new_delta = np.minimum(rarity_delta(np.concatenate(levels), n0, delta), 1.0)
         clamped = (new_delta == delta) & (stage > 0)
         in_set = [level >= new_delta for level in levels]  # (rows, m) per block
         counts = sum(member.sum(axis=0) for member in in_set)
         sums = []
-        for (x, lr, post), member in zip(blocks, in_set):
+        for (x, lr, _), member in zip(blocks, in_set):
             payoff = model.rarity_payoff(new_delta, x)
             with np.errstate(invalid="ignore"):  # an inf payoff off every set: a NaN mass
                 payoff = payoff * member.any(axis=1)
-            sums.append(_block_sums(x, _weights(payoff, lr), post))
+            sums.append(_block_sums(x, _weights(payoff, lr), member.T))
         theta = MixtureParam.uniform(_update(sums, theta, DEFAULT_WEIGHT_FLOOR).means)
         delta = new_delta
         trace.append(RarityStageRecord(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cemix import initialization, numerics
 from cemix.errors import ApproxUnavailable, ConfigError, StagnantRarity
+from cemix.experiments import run_experiment, table_configs
 from cemix.initialization import (
     InitConfig,
     RarityConfig,
@@ -177,11 +178,11 @@ class TestRarityCe:
         assert runs[0] == runs[1] == runs[2]
 
     def spy_weights(self, monkeypatch):
-        """The (x, w) of each block that the stages' update sums see, in call order."""
+        """The (x, w, post) of each block that the stages' update sums see, in call order."""
         seen, block_sums_of = [], initialization._block_sums
 
         def block_sums(x, w, post):
-            seen.append((x, w))
+            seen.append((x, w, post))
             return block_sums_of(x, w, post)
 
         monkeypatch.setattr(initialization, "_block_sums", block_sums)
@@ -196,36 +197,64 @@ class TestRarityCe:
         assert per_stage >= 2 and len(seen) == per_stage * len(trace)
         for i, rec in enumerate(trace):
             blocks = seen[i * per_stage:(i + 1) * per_stage]
-            reached = [x / np.array([2.0, -2.5]) >= rec.delta for x, _ in blocks]
-            for (_, w), member in zip(blocks, reached):
+            reached = [x / np.array([2.0, -2.5]) >= rec.delta for x, _, _ in blocks]
+            for (_, w, _), member in zip(blocks, reached):
                 np.testing.assert_array_equal(w > 0, member.any(axis=1))
             np.testing.assert_array_equal(rec.samples_in_set, np.concatenate(reached).sum(axis=0))
 
+    def test_each_component_fits_its_own_set(self, monkeypatch):
+        # on each block of a two-block pilot, component j's posteriors in the update are 1 on
+        # the rows whose level j reaches delta_j and 0 elsewhere; delta never passes 1
+        model = TwoSidedTail(a=2.0, b=-2.5)
+        seen = self.spy_weights(monkeypatch)
+        _, trace = self.run_two_sided(2.0, -2.5, seed=1)
+        per_stage = len(seen) // len(trace)
+        assert per_stage == 2 and len(seen) == per_stage * len(trace)
+        for i, rec in enumerate(trace):
+            for x, _, post in seen[i * per_stage:(i + 1) * per_stage]:
+                member = model.rarity_levels(x) >= rec.delta
+                np.testing.assert_array_equal(np.asarray(post, dtype=float), member.T)
+        deltas = np.array([rec.delta for rec in trace])
+        assert np.all(deltas <= 1.0)
+        np.testing.assert_array_equal(deltas[-1], [1.0, 1.0])
+
     @pytest.mark.parametrize("model, x, expect", [
-        # (x/b)*b rounds below x = -3.0692...: that row sets delta[1]
+        # (x/b)*b rounds below x = -1.7792...: that row sets delta[1] < 1
+        (TwoSidedTail(a=2.0, b=-2.5), [[-1.7792176880030601], [0.0], [5.0]],
+         [True, False, True]),
+        # r = sigma^2/2 puts x = 0 at prices s0 exactly, below the strike: that row sets both
+        # deltas, and for this s0 its delta-scaled payoff disc*S - disc*delta*K rounds above 0
+        (RainbowOption(s0=[54.1909318448285, 52.0], sigmas=[0.5, 0.5], corr=np.eye(2),
+                       r=0.125, maturity=1.0, strike=60.0),
+         [[0.0, 0.0], [-1.0, -1.0], [-0.5, -2.0]], [True, False, False]),
+        # levels past 1: delta stops at the cap, and the rows that passed it are in the sets
         (TwoSidedTail(a=2.0, b=-2.5), [[-3.069274373323133], [0.0], [5.0]], [True, False, True]),
-        # r = sigma^2/2 puts x = 0 at prices s0 exactly: that row sets both deltas, and for
-        # this s0 its delta-scaled payoff disc*S - disc*delta*K rounds above zero
         (RainbowOption(s0=[64.04680070645806, 62.0], sigmas=[0.5, 0.5], corr=np.eye(2),
                        r=0.125, maturity=1.0, strike=60.0),
          [[0.0, 0.0], [-1.0, -1.0], [-0.5, -2.0]], [True, False, False]),
     ])
     def test_row_that_sets_delta_is_in_its_set(self, monkeypatch, model, x, expect):
-        # a stage whose whole pilot is x, at n0 = 1 and lr = 1; row i has posterior 1 on
-        # component i % 2, so the means stay distinct
+        # a stage whose whole pilot is x, at n0 = 1 and lr = 1; the stage ignores the
+        # pilot's posteriors.  A delta below 1 takes a second stage, whose rows pass every
+        # level, to end the scheme.
         x = np.array(x)
-        post = np.eye(2)[np.arange(len(x)) % 2].T
-        monkeypatch.setattr(initialization, "_pilot_pass",
-                            lambda theta, n, stream, price: [price(x, np.ones(len(x)), post)])
+        pilots = iter([x, np.array([[5.0] * x.shape[1], [-5.0] * x.shape[1]])])
+
+        def pilot_pass(theta, n, stream, price):
+            rows = next(pilots)
+            return [price(rows, np.ones(len(rows)), None)]
+
+        monkeypatch.setattr(initialization, "_pilot_pass", pilot_pass)
         seen = self.spy_weights(monkeypatch)
         _, trace = init_rarity_ce(model, RarityConfig(pilot_size=4, rho=0.5),
                                   MixtureParam.uniform(np.zeros(x.shape[1]) + [[0.0], [0.1]]),
                                   RngStream(0, phase="init"))
-        levels = model.rarity_levels(x)
-        assert len(trace) == 1
-        np.testing.assert_array_equal(trace[0].delta, levels.max(axis=0))
+        top = model.rarity_levels(x).max(axis=0)
+        assert len(trace) == (1 if np.all(top >= 1.0) else 2)
+        np.testing.assert_array_equal(trace[0].delta, np.minimum(top, 1.0))
         np.testing.assert_array_equal(trace[0].samples_in_set, [1, 1])
         np.testing.assert_array_equal(seen[0][1] > 0, expect)
+        np.testing.assert_array_equal(trace[-1].delta, [1.0, 1.0])
 
     def test_weights_stay_uniform(self):
         _, trace = self.run_two_sided(2.0, -2.5, seed=3)
@@ -272,6 +301,14 @@ class TestRarityCe:
         # each component pushes one asset toward the strike
         prices = model._terminal_prices(theta.means)
         assert prices.max(axis=1).min() >= 0.8 * 60.0
+
+    def test_table_6_k70_rows_stay_apart(self):
+        # table 6 K=70/INI_CE at seed 10: with every component fit to the union of the sets
+        # and delta uncapped, its stages ran 12 times and the row collapsed (var_ratio 15.2)
+        cfg = next(c for c in table_configs(6, 10) if c.label == "K=70/INI_CE")
+        row = run_experiment(cfg)
+        assert "collapse" not in row.flags
+        assert row.var_ratio >= 100 and row.init_stages <= 4
 
     def test_embedding_required(self):
         from cemix.models import AsianCall

@@ -25,7 +25,8 @@ ratio of the medians and the share of pairs in which the change was better or
 equal, and per workload each side's median resource use per pass; then the
 table wall times, each side's tier-1 wall times with their median and each run's
 passed and failed counts, each side's digest per setting against the parent's default digest
-(equal or not, and the count of differing rows), and the environment block of
+(equal or not, and the count and `seed t/r label` names of the differing rows) and against
+the side's own default digest (`own_default`), and the environment block of
 the runs.  Host speed drifts between sessions, so only the pairs of one file
 compare; the digests compare across files.
 """
@@ -131,9 +132,17 @@ def src_lines(side: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "cemix").glob("*.py"))
 
 
+def differing_rows(got: list, reference: list) -> list:
+    """The `seed t/r label` prefixes of the digest lines in which got and reference differ;
+    a missing or extra line counts as one."""
+    common = min(len(got), len(reference))
+    lines = [a for a, b in zip(got, reference) if a != b] + got[common:] + reference[common:]
+    return [line.split(" ; ", 1)[0] for line in lines]
+
+
 def bit_identity(sides: dict) -> dict:
     """Per side and DIGESTS setting: whether its digest equals the parent's default one,
-    and how many rows differ (a missing or extra row counts as one)."""
+    the rows that differ from it, and whether it equals the side's own default digest."""
     runs = {side: {name: digest(path, *DIGESTS[name]) for name in DIGESTS}
             for side, path in sides.items()}
     reference = runs["parent"]["default"]
@@ -141,8 +150,9 @@ def bit_identity(sides: dict) -> dict:
     for side, lines in runs.items():
         out[side] = {}
         for name, got in lines.items():
-            differ = sum(a != b for a, b in zip(got, reference)) + abs(len(got) - len(reference))
-            out[side][name] = {"equal": differ == 0, "rows_differing": differ}
+            differ = differing_rows(got, reference)
+            out[side][name] = {"equal": not differ, "rows_differing": len(differ),
+                               "differing": differ, "own_default": got == lines["default"]}
     return out
 
 
@@ -251,7 +261,8 @@ def main():
     for side in ("parent", "change"):
         print(f"{side} digests: " + ", ".join(
             f"{name} {'equal' if v['equal'] else str(v['rows_differing']) + ' rows differ'}"
-            for name, v in identity[side].items()))
+            for name, v in identity[side].items()) + "; settings agree: "
+            + str(all(v["own_default"] for v in identity[side].values())))
     for side in ("parent", "change"):
         print(f"{side} tier-1: median {tier1[side]['median']:.1f} s of " + ", ".join(
             f"{s:.1f}" for s in tier1[side]["seconds"]) + f"; failed {tier1[side]['failed']}")
