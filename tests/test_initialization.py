@@ -303,8 +303,8 @@ class TestRarityCe:
         assert prices.max(axis=1).min() >= 0.8 * 60.0
 
     def test_table_6_k70_rows_stay_apart(self):
-        # table 6 K=70/INI_CE at seed 10: with every component fit to the union of the sets
-        # and delta uncapped, its stages ran 12 times and the row collapsed (var_ratio 15.2)
+        # table 6 K=70/INI_CE at seed 10: stages that fit every component to the union of
+        # the sets, with delta uncapped, ran 12 times and collapsed this row (var_ratio 15.2)
         cfg = next(c for c in table_configs(6, 10) if c.label == "K=70/INI_CE")
         row = run_experiment(cfg)
         assert "collapse" not in row.flags
