@@ -65,44 +65,46 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     Chunk k takes the c rows of sample_mixture(theta, c, stream with counter
     offset k), c = _CHUNK but for a shorter last chunk.  Each row block of a
     chunk is drawn and weighted by _draw_rows and priced by model._payoff on
-    the thread pool, with no (c, d) array; a block returns its lr range and
-    overwrites its lr with V^2 lr.  Chunk k's lr and V lr fill the rows of slot
-    k % 2, allocated once per call.  Chunk k + 1 goes to the pool before the main
-    thread takes chunk k's largest V lr, merges its chunk_moments and adds its V^2
-    lr sum, in chunk order, so chunk k + 2 finds its slot reduced.  Payoffs so large
-    that a moment, or the variance ratio at a nonzero SE, is not finite raise ConfigError.
+    the thread pool, with no (c, d) array; a block writes its lr into its rows
+    of slot k % 2, a c-vector allocated once per call, multiplies them by V in
+    place and returns its lr range and its sum of V^2 lr.  Chunk k + 1 goes to
+    the pool before the main thread adds chunk k's block sums, in block order,
+    takes its largest V lr and merges its chunk_moments, in chunk order, so chunk
+    k + 2 finds its slot reduced.  Payoffs so large that a moment, or the variance
+    ratio at a nonzero SE, is not finite raise ConfigError.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     if model.dim != theta.dim:
         raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta.dim}")
     chunks = -(-n // _CHUNK)
-    slots = [np.empty((2, min(n, _CHUNK))) for _ in range(min(2, chunks))]
-    def submit(k):  # (lr, vals, block futures) of chunk k
+    slots = [np.empty(min(n, _CHUNK)) for _ in range(min(2, chunks))]
+    def submit(k):  # (vals, block futures) of chunk k
         c = min(_CHUNK, n - k * _CHUNK)
         sub = stream.child(counter=stream.counter + k)
-        lr, vals = slots[k % 2][:, :c]
-        def block(rows):
-            x, w = np.empty((rows.stop - rows.start, theta.dim)), lr[rows]
+        vals = slots[k % 2][:c]
+        def block(rows):  # ((lr min, lr max), sum of V^2 lr) of the rows
+            x, w = np.empty((rows.stop - rows.start, theta.dim)), vals[rows]
             _draw_rows(theta, c, sub, rows.start, x, w)
             ends = w.min(), w.max()
             payoff = model._payoff(x)
             with np.errstate(over="ignore", invalid="ignore"):  # checked once summed
-                np.multiply(payoff, w, out=vals[rows])
-                np.multiply(payoff, vals[rows], out=w)
-            return ends
-        return lr, vals, _submit(block, _blocks(c, _block_rows(theta.dim)))
+                w *= payoff
+                return ends, float(np.multiply(payoff, w, out=payoff).sum())
+        return vals, _submit(block, _blocks(c, _block_rows(theta.dim)))
 
     moments, max_val, sum_sq, lr_ends = (0, 0.0, 0.0), 0.0, 0.0, []
     ahead = submit(0)
     for k in range(1, chunks + 1):
-        lr, vals, futures = ahead
+        vals, futures = ahead
         ahead = submit(k) if k < chunks else None
-        lr_ends += [end for future in futures for end in future.result()]
+        for future in futures:
+            ends, block_sq = future.result()
+            lr_ends += ends
+            sum_sq += block_sq
         with np.errstate(over="ignore", invalid="ignore"):
             max_val = max(max_val, float(vals.max()))
             moments = merge_moments(moments, chunk_moments(vals))
-            sum_sq += float(lr.sum())
     _, est, m2 = moments
     if not math.isfinite(est + m2 + sum_sq):
         raise ConfigError("payoffs out of range: a moment of the estimate is not finite")

@@ -41,7 +41,8 @@ def _require_scales(maturity, sigmas, r=0.0):
 
 class Model:
     """Base of the payoff models.  A model's _payoff is a row kernel (row i of its
-    output depends on row i of x only) that calls only private helpers."""
+    output depends on row i of x only) that calls only private helpers and returns
+    a new float64 vector of len(x) values, which the caller may overwrite."""
 
     def payoff(self, x) -> np.ndarray:
         """Payoffs of the rows of x: _payoff over final-pass _blocks on the pool."""

@@ -13,6 +13,7 @@ from scipy.special import ndtri
 from cemix.errors import DegenerateUpdate
 from cemix.estimate import LR_CONCENTRATION_SHARE, chunk_moments, merge_moments
 from cemix.mixture import MixtureParam, likelihood_ratio, log_mixture_density, sample_mixture
+from cemix.numerics import _block_rows, _blocks
 
 
 def uniforms(stream, size) -> np.ndarray:
@@ -63,9 +64,10 @@ def serial_sample(theta: MixtureParam, n: int, stream):
 def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: int):
     """(estimate, std_error, min_lr, max_lr, lr_concentrated, plain_variance) of
     is_estimate from public calls: each chunk draws its whole batch with
-    sample_mixture, then takes likelihood_ratio and payoff of it, its
-    chunk_moments and its sum of V^2 lr; the chunks merge in chunk order.  The
-    plain variance is E[V^2 lr] - mean^2, made unbiased by n / (n - 1)."""
+    sample_mixture, then takes likelihood_ratio and payoff of it and its
+    chunk_moments; the chunks merge in chunk order.  The plain variance is
+    E[V^2 lr] - mean^2, made unbiased by n / (n - 1), its V^2 lr summed per
+    _blocks(c, _block_rows(d)) block of each chunk, one block sum at a time."""
     moments, lrs, vals, sum_sq = (0, 0.0, 0.0), [], [], 0.0
     for k, start in enumerate(range(0, n, chunk_size)):
         x = sample_mixture(theta, min(chunk_size, n - start),
@@ -74,7 +76,8 @@ def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: i
         payoff = model.payoff(x)
         vals.append(payoff * lrs[-1])
         moments = merge_moments(moments, chunk_moments(vals[-1].copy()))
-        sum_sq += float(np.sum(payoff * vals[-1]))
+        for rows in _blocks(len(payoff), _block_rows(theta.dim)):
+            sum_sq += float(np.sum(payoff[rows] * vals[-1][rows]))
     _, est, m2 = moments
     top = max(v.max() for v in vals)
     return (est, math.sqrt(m2 / (n - 1) / n), min(v.min() for v in lrs),

@@ -206,7 +206,7 @@ class TestFusedPass:
 
     def test_no_chunk_sized_draw_array(self, monkeypatch):
         # table 9's model at n = 1e5 on two workers: two 4000 x 100 draw blocks take
-        # 6.4 MB and the chunk slot 1.6 MB; two blocks of 7696 rows would take 12.3 MB,
+        # 6.4 MB and the chunk slot 0.8 MB; two blocks of 7696 rows would take 12.3 MB,
         # and the (n, d) draws alone 80 MB
         model = CevDigital(strike=60.0, **CEV)
         theta = approx_theta(model)
@@ -221,8 +221,9 @@ class TestFusedPass:
         assert peak < 11e6
 
     def test_at_most_two_chunks_in_flight(self, monkeypatch):
-        # six chunks of the d = 1 tail on two workers: two chunks' lr and V lr vectors
-        # take 6.4 MB, all six would take 19.2 MB
+        # six chunks of the d = 1 tail on two workers: two chunks' V lr vectors take
+        # 3.2 MB and the pass peaks near 6.3 MB; a chunk-long lr beside each slot
+        # would lift it near 9.5 MB, and all six chunks' V lr would take 9.6 MB
         model = TwoSidedTail(a=2.0, b=-2.5)
         theta = MixtureParam([0.7, 0.3], [[2.3], [-2.8]])
         with ThreadPoolExecutor(2) as pool:
@@ -233,12 +234,13 @@ class TestFusedPass:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 8e6
 
     def test_final_pass_holds_no_spare_chunk_vector(self, monkeypatch):
-        # the same six chunks on one worker: the two reused chunk slots take 6.4 MB
+        # the same six chunks on one worker: the two reused chunk slots take 3.2 MB
         # and one 28576-row block's temporaries about 1.2 MB; a deviation copy of a
-        # chunk's V lr, or fresh vectors for each chunk, would add 1.6 MB
+        # chunk's V lr, a chunk-long lr beside it, or fresh vectors for each chunk,
+        # would add 1.6 MB
         model = TwoSidedTail(a=2.0, b=-2.5)
         theta = MixtureParam([0.7, 0.3], [[2.3], [-2.8]])
         with ThreadPoolExecutor(1) as pool:
@@ -249,7 +251,7 @@ class TestFusedPass:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 8.4e6
+        assert peak < 5.5e6
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cemix.errors import ConfigError, DimensionMismatch, EmbeddingUnavailable
-from cemix.experiments import PYRAMID_2, PYRAMID_4, RAINBOW_2, RAINBOW_4, STRIKE_TABLES
+from cemix.experiments import (
+    PYRAMID_2,
+    PYRAMID_4,
+    RAINBOW_2,
+    RAINBOW_4,
+    STRIKE_TABLES,
+    build_model,
+    table_configs,
+)
 from cemix.initialization import RarityConfig, init_rarity_ce, rarity_delta
 from cemix.mixture import MixtureParam
 from cemix.models import (
@@ -35,6 +43,17 @@ from oracles import (
     tail_levels,
     triangular_solves,
 )
+
+
+@pytest.mark.parametrize("table", [2, 4, 6, 8, 9],
+                         ids=["tail", "asian", "rainbow", "pyramid", "cev"])
+def test_payoff_returns_a_fresh_vector(table):
+    # the final pass multiplies V^2 lr into _payoff's result in place
+    model = build_model(table_configs(table)[0])
+    x = normals(RngStream(31), 1000, model.dim)
+    out = model._payoff(x)
+    assert out.dtype == np.float64 and out.shape == (1000,)
+    assert not np.shares_memory(out, x)
 
 
 class TestTwoSidedTail:

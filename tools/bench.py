@@ -21,13 +21,16 @@ its minor page faults, user CPU seconds and system CPU seconds per pass.
 
 The file holds, per workload and end-to-end metric, each side's median and
 quartiles (statistics.quantiles, inclusive) over the pairs, the change/parent
-ratio of the medians and the share of pairs in which the change was better or
-equal, and per workload each side's median resource use per pass; then the
-table wall times, each side's tier-1 wall times with their median and each run's
-passed and failed counts, each side's digest per setting against the parent's default digest
-(equal or not, and the count and `seed t/r label` names of the differing rows) and against
-the side's own default digest (`own_default`), and the environment block of
-the runs.  Host speed drifts between sessions, so only the pairs of one file
+ratio of the medians, the share of pairs in which the change was better or
+equal, and `claim_met`: the change won at least 0.9 of the pairs and its median
+is better than the parent's by more than the parent's q3 - q1; per workload,
+each side's median resource use per pass; then the table wall times, each side's
+tier-1 wall times with their median and each run's passed and failed counts,
+each side's digest per setting against the parent's default digest (equal or
+not, the count and `seed t/r label` names of the differing rows, and
+`equal_without_vr`, equal once each line's ` ; vr <hex>` field is dropped) and
+against the side's own default digest (`own_default`), and the environment
+block of the runs.  Host speed drifts between sessions, so only the pairs of one file
 compare; the digests compare across files.
 """
 
@@ -140,9 +143,16 @@ def differing_rows(got: list, reference: list) -> list:
     return [line.split(" ; ", 1)[0] for line in lines]
 
 
+def without_vr(lines: list) -> list:
+    """The digest lines with their ` ; vr <hex>` field dropped, as rows_digest.py's
+    docstring drops it."""
+    return [re.sub(r" ; vr [^ ]*", "", line) for line in lines]
+
+
 def bit_identity(sides: dict) -> dict:
     """Per side and DIGESTS setting: whether its digest equals the parent's default one,
-    the rows that differ from it, and whether it equals the side's own default digest."""
+    the rows that differ from it, whether it equals that digest once var_ratio is
+    dropped, and whether it equals the side's own default digest."""
     runs = {side: {name: digest(path, *DIGESTS[name]) for name in DIGESTS}
             for side, path in sides.items()}
     reference = runs["parent"]["default"]
@@ -152,7 +162,9 @@ def bit_identity(sides: dict) -> dict:
         for name, got in lines.items():
             differ = differing_rows(got, reference)
             out[side][name] = {"equal": not differ, "rows_differing": len(differ),
-                               "differing": differ, "own_default": got == lines["default"]}
+                               "differing": differ,
+                               "equal_without_vr": without_vr(got) == without_vr(reference),
+                               "own_default": got == lines["default"]}
     return out
 
 
@@ -162,19 +174,25 @@ def summary(values) -> dict:
 
 
 def compare(results, metrics) -> dict:
-    """Per end-to-end metric: each side's summary, the ratio of medians and the win share."""
+    """Per end-to-end metric: each side's summary, the ratio of medians, the win share
+    and whether a claimed gain is met: the change wins at least 0.9 of the pairs and its
+    median beats the parent's by more than the parent's q3 - q1."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         sides = {side: [r["metrics"][name]["value"] for r in results[side]]
                  for side in ("parent", "change")}
         pairs = list(zip(sides["parent"], sides["change"]))
+        parent, change = summary(sides["parent"]), summary(sides["change"])
+        gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+        won = sum(c < p if lower else c > p for p, c in pairs) / len(pairs)
         out[name] = {
             "better": metric["better"],
-            "parent": summary(sides["parent"]), "change": summary(sides["change"]),
-            "ratio": statistics.median(sides["change"]) / statistics.median(sides["parent"]),
-            "won": sum(c < p if lower else c > p for p, c in pairs) / len(pairs),
+            "parent": parent, "change": change,
+            "ratio": change["median"] / parent["median"],
+            "won": won,
             "won_or_tied": sum(c <= p if lower else c >= p for p, c in pairs) / len(pairs),
+            "claim_met": won >= 0.9 and gain > parent["q3"] - parent["q1"],
         }
     return out
 
@@ -254,13 +272,14 @@ def main():
         for name, m in data["metrics"].items():
             print(f"{workload:10s} {name:18s} parent {m['parent']['median']:.5g} "
                   f"change {m['change']['median']:.5g} ratio {m['ratio']:.3f} "
-                  f"won {m['won']:.0%}")
+                  f"won {m['won']:.0%}" + (" claim met" if m["claim_met"] else ""))
         for side, usage in data["per_pass"].items():
             print(f"{workload:10s} per pass {side:6s} minor faults {usage['minor_faults']:.0f}, "
                   f"user {usage['user_s']:.3f} s, system {usage['system_s']:.3f} s")
     for side in ("parent", "change"):
         print(f"{side} digests: " + ", ".join(
             f"{name} {'equal' if v['equal'] else str(v['rows_differing']) + ' rows differ'}"
+            f"{'' if v['equal'] or not v['equal_without_vr'] else ' (equal without vr)'}"
             for name, v in identity[side].items()) + "; settings agree: "
             + str(all(v["own_default"] for v in identity[side].values())))
     for side in ("parent", "change"):
