@@ -7,11 +7,13 @@ posterior, giving closed-form weight and mean updates per component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateUpdate, DimensionMismatch
+from .estimate import chunk_moments, merge_moments
 from .mixture import (DEFAULT_WEIGHT_FLOOR, LOG_2PI, MixtureParam, SampleBatch, _draw_rows,
                       log_mixture_density)
 from .numerics import _PRODUCT_MADDS, _block_rows, _blocks, _map
@@ -43,6 +45,13 @@ class IterationRecord:
     theta: MixtureParam  # the update that the iteration's pilot gave
     objective: float     # the CE objective of the theta that drew the pilot, on that pilot
     positive_payoffs: int
+    moments: tuple       # (count, mean, M2) of the pilot's V*lr: its own IS estimate
+
+    @property
+    def ess(self) -> float:
+        """Effective sample size (sum w)^2 / sum w^2 of the pilot's w = V*lr (Kong 1992)."""
+        n, mean, m2 = self.moments
+        return (n * mean) ** 2 / (m2 + n * mean * mean)
 
 
 def _check_lr(lr):
@@ -126,22 +135,25 @@ def _pilot_pass(theta: MixtureParam, n: int, stream: RngStream, price) -> list:
 
 
 def _pilot(model, theta: MixtureParam, n: int, stream: RngStream, weight_floor: float):
-    """One fused CE iteration: (new theta, objective under theta, positive-payoff count),
-    the values of sample_mixture(theta, n, stream), model.payoff, mixture_update and
-    surrogate_objective under theta, with no (n, m) posterior array.  Each block of one
-    _pilot_pass gives its _block_sums and its objective sum, log h = log phi_d - log lr
-    under the drawing theta, from one w = V*lr."""
+    """One fused CE iteration: (new theta, objective under theta, positive-payoff count,
+    moments of V*lr), the values of sample_mixture(theta, n, stream), model.payoff,
+    mixture_update and surrogate_objective under theta, with no (n, m) posterior array.
+    Each block of one _pilot_pass gives its _block_sums, its objective sum, log h = log
+    phi_d - log lr under the drawing theta, and last its chunk_moments, from one w = V*lr."""
     def price(x, lr, post):
         payoff = model._payoff(x)
         w = _weights(payoff, lr)
         kept = w > 0  # lr > 0 there: its log is finite
         log_h = (-0.5 * np.einsum("nd,nd->n", x, x)[kept] - 0.5 * x.shape[1] * LOG_2PI
                  - np.log(lr[kept]))
-        return (int(np.count_nonzero(payoff > 0)), float((w[kept] * log_h).sum()),
-                _block_sums(x, w, post))
+        parts = (int(np.count_nonzero(payoff > 0)), float((w[kept] * log_h).sum()),
+                 _block_sums(x, w, post))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once pooled; overwrites w
+            return parts + (chunk_moments(w),)
 
-    positive, objective, sums = zip(*_pilot_pass(theta, n, stream, price))
-    return _update(sums, theta, weight_floor), sum(objective) / n, sum(positive)
+    positive, objective, sums, moments = zip(*_pilot_pass(theta, n, stream, price))
+    return (_update(sums, theta, weight_floor), sum(objective) / n, sum(positive),
+            functools.reduce(merge_moments, moments, (0, 0.0, 0.0)))
 
 
 def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
@@ -153,15 +165,13 @@ def run_ce(model, theta0: MixtureParam, cfg: CeConfig, stream: RngStream):
     """
     if model.dim != theta0.dim:
         raise DimensionMismatch(f"model dimension {model.dim}, mixture {theta0.dim}")
-    theta = theta0
-    trace = []
+    theta, trace = theta0, []
     for it in range(1, cfg.iterations + 1):
-        try:
-            theta, objective, positive = _pilot(model, theta, cfg.pilot_size,
-                                                stream.child(phase="pilot", iteration=it),
-                                                cfg.weight_floor)
+        try:  # _pilot returns the record's fields after the iteration, in order
+            trace.append(IterationRecord(it, *_pilot(model, theta, cfg.pilot_size,
+                                                     stream.child(phase="pilot", iteration=it),
+                                                     cfg.weight_floor)))
         except DegenerateUpdate as exc:
             raise DegenerateUpdate(str(exc), iteration=it) from exc
-        trace.append(IterationRecord(iteration=it, theta=theta, objective=objective,
-                                     positive_payoffs=positive))
+        theta = trace[-1].theta
     return theta, trace

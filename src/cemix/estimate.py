@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,6 +122,24 @@ def is_estimate(model, theta: MixtureParam, n: int, stream: RngStream) -> Estima
     if se > 0 and not math.isfinite(report.var_ratio):  # a ratio past the doubles
         raise ConfigError("payoffs out of range: the variance ratio is not finite")
     return report
+
+
+def pooled_estimate(report: EstimateReport, pilots) -> EstimateReport:
+    """report pooled with the (count, mean, M2) moments of pilot IS estimates, each a fresh
+    draw from its own proposal, one stratum each at fixed weight n_k / N (Owen & Zhou 2000):
+    mean sum n_k mean_k / N, SE sqrt(sum n_k M2_k / (n_k - 1)) / N and n = N, so var_ratio
+    is per pooled draw.  The plain variance and the lr fields stay report's."""
+    pilots = [moments for moments in pilots if moments[0] > 1]  # one row has no variance
+    if not pilots:
+        return report
+    n = report.n + sum(k for k, _, _ in pilots)
+    total = report.n * report.estimate + sum(k * mean for k, mean, _ in pilots)
+    var = (report.n * report.std_error) ** 2 + sum(k * m2 / (k - 1) for k, _, m2 in pilots)
+    if not math.isfinite(total + var):
+        raise ConfigError("payoffs out of range: a moment of the estimate is not finite")
+    est, se = total / n, math.sqrt(var) / n
+    return replace(report, estimate=est, std_error=se, n=n,
+                   relative_error=se / est if est > 0 else math.inf)
 
 
 def plain_mc_estimate(model, n: int, stream: RngStream) -> EstimateReport:

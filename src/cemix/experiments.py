@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import CeConfig, run_ce
 from .errors import ConfigError
-from .estimate import is_estimate
+from .estimate import is_estimate, pooled_estimate
 from .initialization import InitConfig, initial_mixture, require_init
 from .mixture import min_tilt_distance
 from .models import AsianCall, CevDigital, PyramidOption, RainbowOption, TwoSidedTail
@@ -155,12 +155,14 @@ def build_model(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
-    """One output row: estimate, errors, variance ratio (from the final IS draws), final mixture."""
+    """One output row: the final IS draws pooled with CE pilots 2..K (pilot 1 is drawn from
+    the init mixture), its errors and variance ratio per pooled draw, and the final mixture."""
     model = build_model(cfg)
     stream = RngStream(cfg.seed)
     theta0, init_stages = initial_mixture(model, cfg.init_config, stream)
     theta, trace = run_ce(model, theta0, cfg, stream)
-    report = is_estimate(model, theta, cfg.n_final, stream.child(phase="final_is"))
+    report = pooled_estimate(is_estimate(model, theta, cfg.n_final, stream.child(phase="final_is")),
+                             [rec.moments for rec in trace[1:]])
     flags = []
     if min_tilt_distance(theta.means) <= COLLAPSE_DISTANCE:
         flags.append("collapse")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import ndtri
+from scipy.special import logsumexp, ndtri
 
 from cemix.errors import DegenerateUpdate
 from cemix.estimate import LR_CONCENTRATION_SHARE, chunk_moments, merge_moments
@@ -83,6 +83,28 @@ def serial_is_estimate(model, theta: MixtureParam, n: int, stream, chunk_size: i
     return (est, math.sqrt(m2 / (n - 1) / n), min(v.min() for v in lrs),
             max(v.max() for v in lrs), est > 0 and top > LR_CONCENTRATION_SHARE * est * n,
             max(sum_sq / n - est * est, 0.0) * (n / (n - 1)))
+
+
+def serial_pooled_estimate(model, trace, pilot_size: int, n_final: int, stream):
+    """(estimate, std_error) of a run_experiment row pooled from its final draws and its CE
+    pilots 2..K, each stratum drawn again whole by serial_sample: pilot k from trace[k - 2]
+    .theta and stream.child(phase="pilot", iteration=k), the final n_final rows (one chunk,
+    n_final <= is_estimate's _CHUNK) from trace[-1].theta and stream.child(phase="final_is").
+    A stratum's w = V * phi_d / h_theta, h_theta by log-sum-exp of log_component_density;
+    the estimate is sum(w) / N over all N rows, the variance sum n_k var_k(w) / N^2."""
+    draws = [(rec.theta, pilot_size, stream.child(phase="pilot", iteration=k))
+             for k, rec in enumerate(trace[:-1], start=2)]
+    draws.append((trace[-1].theta, n_final, stream.child(phase="final_is")))
+    strata = []
+    for theta, n, sub in draws:
+        x, _ = serial_sample(theta, n, sub)
+        log_h = logsumexp([math.log(w) + log_component_density(a, x)
+                           for w, a in zip(theta.weights, theta.means)], axis=0)
+        strata.append(model.payoff(x) * np.exp(log_component_density(np.zeros(x.shape[1]), x)
+                                               - log_h))
+    n = sum(w.size for w in strata)
+    return (sum(w.sum() for w in strata) / n,
+            math.sqrt(sum(w.size * w.var(ddof=1) for w in strata)) / n)
 
 
 def cev_paths(model, x):

@@ -271,6 +271,19 @@ class TestRunCe:
         objs = [rec.objective for rec in trace]
         assert objs[-1] >= objs[0]
 
+    def test_iteration_ess_of_the_pilot_drawn_again(self):
+        # Kong's (sum w)^2 / sum w^2 of each pilot's w = V*lr, its three blocks drawn again
+        # as one batch from the pilot's stream under the theta that drew it
+        model, theta0 = TwoSidedTail(a=2.0, b=-2.5), MixtureParam.uniform([[1.5], [-2.0]])
+        _, trace = run_ce(model, theta0, CeConfig(pilot_size=40_000, iterations=3),
+                          RngStream(14))
+        for rec, theta in zip(trace, [theta0] + [r.theta for r in trace]):
+            batch = sample_mixture(theta, 40_000,
+                                   RngStream(14).child(phase="pilot", iteration=rec.iteration))
+            w = model.payoff(batch.x) * batch.lr
+            assert rec.ess == pytest.approx(w.sum() ** 2 / (w @ w), rel=1e-12)
+            assert 1 < rec.ess < 40_000
+
     def test_degenerate_reports_iteration(self):
         model = TwoSidedTail(a=7.0, b=-7.0)
         theta0 = MixtureParam.uniform([[0.0], [-0.1]])
@@ -356,9 +369,13 @@ class TestFusedPilot:
         # sample_mixture -> payoff -> mixture_update, and surrogate_objective under the
         # theta that drew the batch
         model, theta, n = pilot_problem(name)
-        new, objective, positive = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
+        new, objective, positive, moments = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
         batch = sample_mixture(theta, n, PILOT_STREAM)
         payoff = model.payoff(batch.x)
+        w = payoff * batch.lr
+        assert moments[0] == n
+        assert moments[1] == pytest.approx(w.mean(), rel=1e-12)
+        assert moments[2] == pytest.approx(np.sum((w - w.mean()) ** 2), rel=1e-12)
         ref = mixture_update(batch, payoff, theta, 1e-4)
         np.testing.assert_allclose(new.weights, ref.weights, rtol=1e-12)
         np.testing.assert_allclose(new.means, ref.means, rtol=1e-12)
@@ -375,8 +392,9 @@ class TestFusedPilot:
         for workers in (1, 2, 3):
             with ThreadPoolExecutor(workers) as pool:
                 monkeypatch.setattr(numerics, "_POOL", pool)
-                new, objective, positive = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
-            runs.append((new.weights.tobytes(), new.means.tobytes(), objective, positive))
+                new, objective, positive, moments = _pilot(model, theta, n, PILOT_STREAM, 1e-4)
+            runs.append((new.weights.tobytes(), new.means.tobytes(), objective, positive,
+                         moments))
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("name", ["tail-1d", "pyramid-4d", "cev-100d"])

@@ -10,20 +10,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cemix import estimate, numerics
-from cemix.errors import DimensionMismatch
+from cemix.errors import ConfigError, DimensionMismatch
 from cemix.estimate import (
     EstimateReport,
     chunk_moments,
     is_estimate,
     merge_moments,
     plain_mc_estimate,
+    pooled_estimate,
 )
-from cemix.experiments import ASIAN, CEV, PYRAMID_4, RAINBOW_4
+from cemix.experiments import (ASIAN, CEV, PYRAMID_4, RAINBOW_4, ExperimentConfig, build_model,
+                               run_experiment)
 from cemix.mixture import MixtureParam, likelihood_ratio, sample_mixture
 from cemix.models import AsianCall, CevDigital, PyramidOption, RainbowOption, TwoSidedTail
 from cemix.numerics import _block_rows, normal_cdf
 from cemix.rng import RngStream
-from oracles import serial_is_estimate
+from oracles import serial_is_estimate, serial_pooled_estimate
 
 
 class ShiftedCall:
@@ -338,3 +340,68 @@ class TestPlainVariance:
                 reports.append(is_estimate(model, theta, 2 * estimate._CHUNK + 501,
                                            RngStream(19, phase="final_is")))
         assert reports[0] == reports[1] == reports[2]
+
+
+def tail_row(seed, iterations=5, n_final=20_000):
+    """A two-sided tail row (a = 2, b = -2.5) from the approx init with a pilot of 2000."""
+    return ExperimentConfig(model="two_sided_tail", model_params=dict(a=2.0, b=-2.5),
+                            init={"method": "approx"}, pilot_size=2000, iterations=iterations,
+                            n_final=n_final, seed=seed)
+
+
+class TestPooledEstimate:
+    """run_experiment pools its final draws with CE pilots 2..K, one stratum per proposal."""
+
+    def test_one_iteration_pools_nothing(self):
+        cfg = tail_row(3, iterations=1)
+        row = run_experiment(cfg)
+        theta = MixtureParam(row.weights, row.tilts)
+        report = is_estimate(build_model(cfg), theta, cfg.n_final,
+                             RngStream(cfg.seed, phase="final_is"))
+        assert (row.estimate, row.std_error, row.rel_error, row.var_ratio) == (
+            report.estimate, report.std_error, report.relative_error, report.var_ratio)
+        assert pooled_estimate(report, []) is report
+
+    @pytest.mark.parametrize("cfg", [
+        tail_row(4),
+        ExperimentConfig(model="pyramid", model_params=dict(strike=40.0, **PYRAMID_4),
+                         init={"method": "approx"}, pilot_size=5000, iterations=3,
+                         n_final=30_000, seed=5),
+    ], ids=["tail-m2", "pyramid-m16"])
+    def test_matches_serial_strata(self, cfg):
+        row = run_experiment(cfg)
+        est, se = serial_pooled_estimate(build_model(cfg), row.trace, cfg.pilot_size,
+                                         cfg.n_final, RngStream(cfg.seed))
+        assert row.estimate == pytest.approx(est, rel=1e-12)
+        assert row.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_var_ratio_per_pooled_draw(self):
+        # the plain variance stays that of the final draws; the ratio divides it by N SE^2
+        cfg = tail_row(6)
+        row = run_experiment(cfg)
+        final = is_estimate(build_model(cfg), MixtureParam(row.weights, row.tilts), cfg.n_final,
+                            RngStream(cfg.seed, phase="final_is"))
+        n = cfg.n_final + (cfg.iterations - 1) * cfg.pilot_size
+        assert row.var_ratio == pytest.approx(
+            final.plain_variance / (n * row.std_error ** 2), rel=1e-12)
+
+    def test_calibrated_over_seeds(self):
+        # z of the pooled estimate against the exact tail probability over 200 seeds
+        truth = normal_cdf(-2.0) + normal_cdf(-2.5)
+        z = [(row.estimate - truth) / row.std_error
+             for row in map(run_experiment, map(tail_row, range(200)))]
+        assert abs(np.mean(z)) <= 0.2
+        assert 0.85 <= np.std(z) <= 1.15
+
+    @pytest.mark.parametrize("moments", [(100, math.inf, 1.0), (100, 1.0, math.inf),
+                                         (100, math.nan, 1.0)])
+    def test_non_finite_pilot_moment_raises(self, moments):
+        report = is_estimate(TwoSidedTail(a=1.0, b=-1.5), MixtureParam.single([0.0]), 1000,
+                             RngStream(10))
+        with pytest.raises(ConfigError, match="not finite"):
+            pooled_estimate(report, [moments])
+
+    def test_pilot_of_one_row_left_out(self):
+        report = is_estimate(TwoSidedTail(a=1.0, b=-1.5), MixtureParam.single([0.0]), 1000,
+                             RngStream(10))
+        assert pooled_estimate(report, [(1, 5.0, 0.0)]) is report

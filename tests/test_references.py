@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cemix.experiments import ASIAN, RAINBOW_2, table_configs
+from cemix.experiments import ASIAN, CEV, RAINBOW_2, table_configs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from references import (  # noqa: E402
     TABLE_4_CV,
+    TABLE_9_IS,
     asian_call_cv,
+    cev_digital_is,
     geometric_asian_call,
     max_call,
     reference,
@@ -63,3 +65,19 @@ class TestAsianCallCv:
         assert not any(ref.exact for ref in refs) and refs[3].se is None
         assert refs[0].se_diff(3e-4) == pytest.approx(math.hypot(3e-4, 1.3e-4))
         assert refs[3].se_diff(3e-4) == pytest.approx(3e-4 * math.sqrt(2.0))
+
+
+class TestCevDigitalIs:
+    def test_table_9_literals(self):
+        # a 60k-path recomputation at another seed: each value within 4 SE of the
+        # difference, each SE that of 4M paths
+        strikes = tuple(TABLE_9_IS)
+        for strike, (value, se) in zip(strikes, cev_digital_is(strikes, 60_000, 2, **CEV)):
+            ref, ref_se = TABLE_9_IS[strike]
+            assert abs(value - ref) <= 4 * math.hypot(se, ref_se), strike
+            assert se / math.sqrt(4e6 / 6e4) == pytest.approx(ref_se, rel=0.25), strike
+
+    def test_table_9_references(self):
+        refs = [reference(cfg) for cfg in table_configs(9)]
+        assert [(ref.value, ref.se) for ref in refs] == list(TABLE_9_IS.values())
+        assert not any(ref.exact for ref in refs)

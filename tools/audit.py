@@ -4,11 +4,17 @@ Each row of the named tables runs at every seed of the range.  Per row the
 audit prints
 - z = (estimate - reference) / SE_diff, as its mean, its mean |z| and its
   largest |z| over the seeds.  SE_diff is the row's SE against an exact reference (tables
-  1-3 and 5), hypot(row SE, reference SE) against table 4's control-variate values
-  at K = 50, 60 and 70, and SE * sqrt(2) against a paper value, itself a Monte Carlo
-  estimate (tools/references.py);
+  1-3 and 5, kind `exact`), hypot(row SE, reference SE) against an independent Monte Carlo
+  value (table 4's control-variate values at K = 50, 60 and 70 and table 9's importance-
+  sampling values, kind `indep`), and SE * sqrt(2) against a paper value, itself a Monte
+  Carlo estimate of unprinted SE (kind `paper`; tools/references.py);
+- the median rel_error over the seeds;
 - the var_ratio spread over the seeds: median, min and max;
 - the number of seeds at which the row is flagged `collapse`.
+
+Two pooled z lines follow, one over the rows with exact or independent references and one
+over the rows with paper values, so that the paper's own offsets stay apart from the
+calibration of the estimator.
 
 The audit gates nothing: it prints its report and exits 0.
 
@@ -17,7 +23,7 @@ The audit gates nothing: it prints its report and exits 0.
 --parent REV audits two sides, each in its own subprocess: the commit REV, unpacked by
 `git archive` into a temporary directory, and this checkout's src (uncommitted edits
 included).  Both take their references from this checkout's tools/references.py.  Each
-row then prints one line per side, and each side prints its pooled line:
+row then prints one line per side, and each side prints its pooled lines:
 
     PYTHONPATH=src python tools/audit.py --parent HEAD~1 --tables 2 5 6 --seeds 1..13
 """
@@ -59,12 +65,12 @@ def seed_range(text: str) -> range:
 
 
 def kind(ref) -> str:
-    return "exact" if ref.exact else "paper" if ref.se is None else "cv"
+    return "exact" if ref.exact else "paper" if ref.se is None else "indep"
 
 
 def audit(tables, seeds):
-    """Per row of the tables, in table order: its name, reference value and kind, its z and
-    var_ratio per seed, and the number of seeds flagged `collapse`."""
+    """Per row of the tables, in table order: its name, reference value and kind, its z,
+    rel_error and var_ratio per seed, and the number of seeds flagged `collapse`."""
     for table in tables:
         runs = [[(cfg, run_experiment(cfg)) for cfg in table_configs(table, seed)]
                 for seed in seeds]
@@ -75,6 +81,7 @@ def audit(tables, seeds):
             yield {"row": f"{table}/{first.row} {first.label}", "reference": ref.value,
                    "kind": kind(ref),
                    "z": [(r.estimate - ref.value) / ref.se_diff(r.std_error) for r in rows],
+                   "rel_error": [r.rel_error for r in rows],
                    "var_ratio": [r.var_ratio for r in rows],
                    "collapses": sum("collapse" in r.flags for r in rows)}
 
@@ -96,14 +103,21 @@ def line(row, side: str) -> str:
     z = row["z"]
     return (f"{row['row']:<22} {side:<6} {row['reference']:>10.5g} {row['kind']:<5} "
             f"{statistics.fmean(z):>7.2f} {statistics.fmean(map(abs, z)):>7.2f} "
-            f"{max(map(abs, z)):>7.2f}  {spread(row['var_ratio']):<30} "
+            f"{max(map(abs, z)):>7.2f} {statistics.median(row['rel_error']):>9.4g}  "
+            f"{spread(row['var_ratio']):<30} "
             f"{row['collapses']}/{len(z)}")
 
 
-def pooled(rows, side: str) -> str:
-    zs = [z for row in rows for z in row["z"]]
-    return (f"{side + ': ' if side else ''}pooled z over {len(zs)} runs: mean "
-            f"{statistics.fmean(zs):.3f}, sd {statistics.pstdev(zs):.3f}")
+def pooled(rows, side: str) -> list:
+    """The pooled z lines of one side: rows with exact or independent references, then
+    rows with paper values."""
+    lines = []
+    for name, paper in (("exact/indep", False), ("paper", True)):
+        zs = [z for row in rows if (row["kind"] == "paper") == paper for z in row["z"]]
+        if zs:
+            lines.append(f"{side + ': ' if side else ''}pooled z, {name} rows, over {len(zs)} "
+                         f"runs: mean {statistics.fmean(zs):.3f}, sd {statistics.pstdev(zs):.3f}")
+    return lines
 
 
 def main():
@@ -115,13 +129,14 @@ def main():
                         help="also audit commit REV, and print both sides per row")
     args = parser.parse_args()
     print(f"{'row':<22} {'side':<6} {'reference':>10} {'kind':<5} {'mean z':>7} "
-          f"{'mean|z|':>7} {'max|z|':>7}  {'var_ratio median [min, max]':<30} collapse")
+          f"{'mean|z|':>7} {'max|z|':>7} {'rel_error':>9}  {'var_ratio median [min, max]':<30} "
+          "collapse")
     if args.parent is None:
         rows = []
         for row in audit(args.tables, args.seeds):
             rows.append(row)
             print(line(row, ""), flush=True)
-        print(pooled(rows, ""))
+        print(*pooled(rows, ""), sep="\n")
         return
     with tempfile.TemporaryDirectory() as tmp:
         unpack(git("rev-parse", args.parent), Path(tmp) / "parent")
@@ -131,7 +146,7 @@ def main():
         for side, row in zip(sides, rows):
             print(line(row, side))
     for side, rows in sides.items():
-        print(pooled(rows, side))
+        print(*pooled(rows, side), sep="\n")
 
 
 if __name__ == "__main__":
